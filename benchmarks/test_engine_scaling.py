@@ -3,8 +3,7 @@
 Complements ``test_ablation_checkers.py`` (one size) with a sweep,
 recording where each engine's cost structure bites: the traversal
 baseline's per-iteration BFS cost, the int-bitset closure's word ops,
-the numpy matrix engine's per-call overhead vs vectorized ORs, the
-incremental vector-clock engine's frontier maintenance (which buys it
+the incremental vector-clock engine's frontier maintenance (which buys it
 exactly one closure build regardless of iteration count), and the
 kernel-batched vck engine, whose round-at-a-time array math is pure
 constant-factor overhead at tiny sizes and the clear winner as the
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
-from repro.core.matrix import MatrixChecker
 from repro.core.vc import VectorClockChecker
 from repro.core.vck import KernelVectorChecker
 from repro.generator.config import GeneratorConfig
@@ -26,7 +24,6 @@ from repro.sim.machine import TsoMachine
 ENGINES = {
     "baseline": BaselineChecker,
     "closure": ClosureChecker,
-    "matrix": MatrixChecker,
     "vc": VectorClockChecker,
     "vck": KernelVectorChecker,
 }
@@ -39,7 +36,7 @@ ENGINES = {
 SIZES = (200, 400, 800, 1600, 3200)
 BASELINE_MAX = 400
 REBUILD_MAX = 800
-_CAPS = {"baseline": BASELINE_MAX, "closure": REBUILD_MAX, "matrix": REBUILD_MAX}
+_CAPS = {"baseline": BASELINE_MAX, "closure": REBUILD_MAX}
 
 
 def _aprog(total_ops: int, seed: int = 31):
@@ -85,7 +82,7 @@ def test_engine_scaling_series(benchmark, record):
         rows.append(" ".join(cells))
     record(
         "engine_scaling",
-        "Engine scaling (same rules, five batch implementations)\n"
+        "Engine scaling (same rules, four batch implementations)\n"
         + "\n".join(rows),
     )
     assert verdicts == {True}

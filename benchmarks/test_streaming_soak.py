@@ -2,10 +2,10 @@
 
 The point of the streaming engine is that checking a run needs memory
 proportional to the retirement *window*, not to the run length.  This
-soak streams a machine run through ``stream_check_machine`` — the same
-pipelined sim/check path campaigns use with ``--pipeline`` — and
-asserts the claim directly: ``live_peak`` (the high-water mark of nodes
-holding frontier vectors) must sit at the window cap — orders of
+soak streams a machine run through ``stream_check_machine`` — checking
+each record as the simulator emits it — and asserts the claim
+directly: ``live_peak`` (the high-water mark of nodes holding frontier
+vectors) must sit at the window cap — orders of
 magnitude below the node count — while the verdict stays PASS (golden
 runs, any window: retirement may lose inference, never invent edges).
 

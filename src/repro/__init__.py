@@ -42,7 +42,6 @@ from repro.core import (
     CompleteResult,
     EdgeReason,
     KernelVectorChecker,
-    MatrixChecker,
     MemoryModel,
     Violation,
     ViolationKind,
@@ -98,7 +97,6 @@ __all__ = [
     "Fault",
     "FaultReport",
     "CPU_CONFIGS",
-    "MatrixChecker",
     "KernelVectorChecker",
     "CoverageReport",
     "measure_coverage",

@@ -30,7 +30,6 @@ from repro.analysis.replay import bug_spec_from_meta, hunt_trace_meta
 from repro.core.api import DEFAULT_ENGINE, check
 from repro.core.context import CheckContext
 from repro.core.policy import TSO, MemoryModel
-from repro.core.stream import DEFAULT_WINDOW, stream_check_machine
 from repro.core.result import PoolStats
 from repro.generator.config import GeneratorConfig, InstructionMix
 from repro.generator.generator import generate_program
@@ -69,15 +68,6 @@ class CampaignConfig:
             hunt's seed stream is derived from (campaign seed, cpu, bug
             index) alone, so results are hunt-for-hunt identical for
             any batch size.
-        pipeline: overlap checking with simulation per attempt using
-            the streaming checker (architecture/design hunts only):
-            the run is checked as records retire and a violating seed
-            aborts at the closing record, then that one attempt is
-            re-run conventionally for the canonical verdict — hunts
-            stay identical to the non-pipelined path.  Monitor and
-            environment hunts always triage conventionally (their
-            verdicts consult post-run machine state, and the observer
-            hook changes where observation faults draw their RNG).
     """
 
     tests_per_bug: int = 10
@@ -99,7 +89,6 @@ class CampaignConfig:
     sched: SchedSpec = field(default_factory=SchedSpec)
     engine: str = DEFAULT_ENGINE
     batch: int = 1
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.batch < 1:
@@ -123,9 +112,10 @@ class BugHunt:
 
     ``ops`` counts the dynamic operations this hunt simulated across
     its attempts — throughput accounting for the fleet status endpoint.
-    Like ``schedule`` it is excluded from the hunt digest: a pipelined
-    hunt aborts violating runs early and so simulates fewer ops than
-    the conventional path while reaching the identical verdict.
+    Like ``schedule`` it is excluded from the hunt digest: hunts stored
+    by older versions carry no count (or, from their since-removed
+    pipelined mode, a smaller one), and their digests must keep
+    matching the identical hunt run today.
     """
 
     spec: BugSpec
@@ -351,25 +341,6 @@ class HuntScratch:
         )
 
 
-def _pipeline_applies(spec: BugSpec, config: CampaignConfig) -> bool:
-    """Whether an attempt may stream-check instead of run-then-check.
-
-    Only architecture/design hunts qualify: their triage is exactly
-    "does the observed run pass analysis", their faults never corrupt
-    the observation path (so the observer hook sees the same records
-    the batch path would), and the verdict carries no post-run machine
-    state.  Programs must also fit the streaming window with margin —
-    retirement may lose inference on longer runs, and pipeline mode
-    promises verdicts identical to the conventional path.
-    """
-    if not config.pipeline:
-        return False
-    if spec.bug_class not in (BugClass.ARCHITECTURE, BugClass.DESIGN):
-        return False
-    slots = config.generator.nprocs * config.generator.ops_per_proc
-    return slots <= DEFAULT_WINDOW // 2
-
-
 def hunt_bug(
     spec: BugSpec,
     cpu_name: str,
@@ -382,8 +353,8 @@ def hunt_bug(
     One fault is active per run (the paper root-causes failures one at a
     time); the seed stream is derived from the campaign seed, the CPU
     name and the bug index so campaigns are exactly reproducible —
-    independent of batching, workers, ``scratch`` reuse and pipeline
-    mode, all of which only change *how* the identical runs execute.
+    independent of batching, workers and ``scratch`` reuse, all of which
+    only change *how* the identical runs execute.
     """
     # zlib.crc32 rather than hash(): str hashing is randomized per
     # process, which would make campaigns unreproducible across runs.
@@ -393,40 +364,22 @@ def hunt_bug(
         + bug_index * 7_919
     )
     context = scratch.context if scratch is not None else None
-    pipelined = _pipeline_applies(spec, config)
-
-    def arm(seed: int) -> TsoMachine:
-        fault = spec.instantiate()
-        policy = make_policy(config.sched, seed=seed)
-        if scratch is None:
-            return TsoMachine(
-                program, seed=seed, config=config.machine, faults=[fault],
-                policy=policy,
-            )
-        return scratch.arm_machine(
-            program, seed, config.machine, [fault], policy
-        )
-
     ops = 0
     with telemetry.span("hunt", bug=spec.name, cpu=cpu_name):
         for attempt in range(config.tests_per_bug):
             seed = base + attempt
             program = generate_program(config.generator, seed=seed)
-            machine = arm(seed)
-            if pipelined:
-                # Check as records retire; a violating seed aborts at
-                # the closing record instead of finishing the program.
-                stream_result, _ = stream_check_machine(
-                    machine, model=config.model, stop_on_violation=True
+            fault = spec.instantiate()
+            policy = make_policy(config.sched, seed=seed)
+            if scratch is None:
+                machine = TsoMachine(
+                    program, seed=seed, config=config.machine,
+                    faults=[fault], policy=policy,
                 )
-                ops += sum(len(cpu.records) for cpu in machine.cpus)
-                if stream_result.ok:
-                    continue
-                # Flagged: re-run this one attempt conventionally so
-                # verdict, via string and witness match the unbatched
-                # path exactly (one extra simulation per detection,
-                # the _record_detection trade).
-                machine = arm(seed)
+            else:
+                machine = scratch.arm_machine(
+                    program, seed, config.machine, [fault], policy
+                )
             observed = machine.run()
             ops += sum(len(cpu.records) for cpu in machine.cpus)
             detected, via = _triage(

@@ -343,7 +343,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         sched=SchedSpec(kind=args.sched, pct_depth=args.pct_depth),
         engine=args.engine,
         batch=args.batch,
-        pipeline=args.pipeline,
     )
     kwargs = {}
     if args.cpu:
@@ -718,11 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "warm machine/checker state — results are "
                         "identical for any value (docs/performance.md). "
                         "Note --task-timeout then covers a whole batch")
-    p.add_argument("--pipeline", action="store_true",
-                   help="overlap checking with simulation per attempt "
-                        "(streaming checker; violating seeds abort at "
-                        "the closing record) — verdicts identical to "
-                        "the conventional path")
     _add_telemetry_args(p)
     p.set_defaults(func=_cmd_campaign)
 

@@ -11,13 +11,11 @@ Public surface:
 * :class:`repro.core.checker.BaselineChecker` — the literal Fig. 2
   algorithm,
 * :class:`repro.core.closure.ClosureChecker` /
-  :class:`repro.core.matrix.MatrixChecker` /
   :class:`repro.core.vc.VectorClockChecker` /
   :class:`repro.core.vck.KernelVectorChecker` — the optimized engines
-  (bitset closure, numpy matrices, the default incremental
-  vector-clock frontiers, and its vectorized-kernel variant; see
-  ``docs/engines.md``).  ``MatrixChecker`` needs the ``repro[fast]``
-  extra and is ``None`` when numpy is missing,
+  (bitset closure, the default incremental vector-clock frontiers, and
+  its vectorized-kernel variant; see ``docs/engines.md``), all built on
+  the shared :class:`repro.core.engine.Checker` skeleton,
 * :func:`repro.core.complete.complete_check` — the exponential complete
   decision procedure (enforces the Order axiom; small programs only).
 """
@@ -27,12 +25,6 @@ from repro.core.api import check, check_execution, check_litmus
 from repro.core.result import CheckResult, Violation, ViolationKind, EdgeReason
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
-from repro.core.kernels import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    from repro.core.matrix import MatrixChecker
-else:  # numpy is an optional extra; the dense engine needs it
-    MatrixChecker = None  # type: ignore[assignment,misc]
 from repro.core.vc import VectorClockChecker
 from repro.core.vck import KernelVectorChecker
 from repro.core.complete import complete_check, CompleteResult
@@ -55,7 +47,6 @@ __all__ = [
     "EdgeReason",
     "BaselineChecker",
     "ClosureChecker",
-    "MatrixChecker",
     "VectorClockChecker",
     "KernelVectorChecker",
     "complete_check",

@@ -30,7 +30,6 @@ from repro import telemetry
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
 from repro.core.context import CheckContext
-from repro.core.kernels import HAVE_NUMPY
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult
 from repro.core.stream import StreamingChecker
@@ -40,10 +39,9 @@ from repro.model.expansion import AnalysisProgram, expand
 from repro.model.program import Program, parse_litmus
 from repro.model.trace import Execution
 
-#: Registered checker engines, by name.  The dense-matrix engine is
-#: numpy-only and appears only when the ``repro[fast]`` extra is
-#: installed; ``vck`` is always registered and falls back to the shared
-#: scalar path without numpy (see ``docs/performance.md``).
+#: Registered checker engines, by name — the same set with or without
+#: numpy: ``vck`` falls back to the shared scalar path when the
+#: ``repro[fast]`` extra is missing (see ``docs/performance.md``).
 ENGINES = {
     "baseline": BaselineChecker,
     "closure": ClosureChecker,
@@ -51,13 +49,9 @@ ENGINES = {
     "vc": VectorClockChecker,
     "vck": KernelVectorChecker,
 }
-if HAVE_NUMPY:
-    from repro.core.matrix import MatrixChecker
-
-    ENGINES["matrix"] = MatrixChecker
 
 #: The production default: the incremental vector-clock engine (see
-#: ``docs/engines.md`` for the six engines and when to pick each).
+#: ``docs/engines.md`` for the five engines and when to pick each).
 DEFAULT_ENGINE = "vc"
 
 
@@ -70,24 +64,16 @@ def make_checker(
 
     ``context`` is an optional :class:`~repro.core.context.CheckContext`
     whose scratch buffers the engine reuses across runs (the batched
-    campaign path).  Engines that accept it natively get it as a
-    constructor argument; the rest carry it as a plain ``context``
-    attribute and simply ignore it — so one reuse-parity suite can run
-    every engine against the same context.
+    campaign path).  Every engine takes it through the shared
+    :class:`~repro.core.engine.Checker` base; engines without reusable
+    state ignore it, so one reuse-parity suite can run every engine
+    against the same context.
     """
     try:
         cls = ENGINES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)}")
-    if context is None:
-        return cls(model)
-    try:
-        return cls(model, context=context)
-    except TypeError:
-        checker = cls(model)
-        checker.context = context
-        context.checks += 1
-        return checker
+    return cls(model, context=context)
 
 
 def check_execution(

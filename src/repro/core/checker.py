@@ -6,10 +6,8 @@ and ``;`` / ``<=`` are program / global memory order:
 
 * **R1–R3** (static): program-order edges per the LoadOp, StoreStore and
   Membar axioms — produced by :func:`repro.core.policy.static_edges`.
-* **R4** (observed): ``Val[L]=Val[S]  and  not S;L   =>  S <= L``.
-* **R5** (observed): ``Val[L]=Val[S]  and  S';L      =>  S' <= S``
-  where ``S'`` is the last same-address store preceding ``L`` in program
-  order.
+* **R4/R5** (observed): the value-observation edges of
+  :func:`repro.core.engine.observed_edges`.
 * **R6** (inferred): ``Val[L]=Val[S]  and  S' <= L   =>  S' <= S``.
 * **R7** (inferred): ``Val[L]=Val[S]  and  S  <= S'  =>  L <= S'``.
 
@@ -18,143 +16,33 @@ every iteration (the paper flags a violation as soon as a cycle is found).
 This engine performs the predecessor/successor discovery for R6/R7 by
 plain breadth-first traversal each iteration — the straightforward reading
 of the pseudo-code, kept as the readable reference and as the ablation
-baseline for :class:`repro.core.closure.ClosureChecker`.
+baseline for :class:`repro.core.closure.ClosureChecker`.  The R1–R5
+seeding and the cycle witness come from the shared
+:class:`repro.core.engine.Checker`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro import telemetry
-from repro.core.graph import ConstraintGraph, CycleDetected
-from repro.core.policy import MemoryModel, TSO, static_edges
+from repro.core.engine import Checker, cycle_violation
+from repro.core.graph import ConstraintGraph
 from repro.core.prep import prepare
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
-from repro.model.expansion import AnalysisProgram, OpKind
+from repro.core.result import CheckStats, EdgeReason, Violation
+from repro.model.expansion import AnalysisProgram
 
 
-def precheck_violation(aprog: AnalysisProgram) -> Optional[Violation]:
-    """Turn expansion-time failures into a Violation (or None)."""
-    if not aprog.precheck_failures:
-        return None
-    codes = {code for code, _ in aprog.precheck_failures}
-    kind = (
-        ViolationKind.UNMAPPED_VALUE if codes == {"unmapped"} else ViolationKind.PRECHECK
-    )
-    message = "; ".join(msg for _, msg in aprog.precheck_failures)
-    return Violation(kind=kind, message=message)
-
-
-def po_prev_stores(aprog: AnalysisProgram) -> Dict[int, int]:
-    """For each load, the last same-address store preceding it in program
-    order (the ``S'`` of rule R5); loads with no such store are absent."""
-    result: Dict[int, int] = {}
-    for stream in aprog.per_proc:
-        last_store_to: Dict[int, int] = {}
-        for op_id in stream:
-            op = aprog.ops[op_id]
-            if op.kind == OpKind.LOAD:
-                prev = last_store_to.get(op.addr)
-                if prev is not None:
-                    result[op_id] = prev
-            elif op.kind == OpKind.STORE:
-                last_store_to[op.addr] = op_id
-    return result
-
-
-def observed_edges(
-    aprog: AnalysisProgram,
-) -> Iterable[Tuple[int, int, EdgeReason, str]]:
-    """Yield the R4/R5 edges ``(src, dst, reason, rule)`` for all loads."""
-    prev_store = po_prev_stores(aprog)
-    for op in aprog.ops:
-        if not op.is_load:
-            continue
-        load = op.id
-        store = aprog.map_value(op.addr, op.value)
-        if store is None:
-            continue  # precheck failure already recorded
-        s_op = aprog.ops[store]
-        same_proc_earlier = (
-            s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po
-        )
-        if not same_proc_earlier:
-            yield store, load, EdgeReason(
-                "R4",
-                f"{aprog.describe(load)} observed the value of "
-                f"{aprog.describe(store)}, which is not an earlier store of "
-                "the same processor, so the store must be globally visible "
-                "before the load binds (Value axiom)",
-            ), "R4"
-        s_prime = prev_store.get(load)
-        if s_prime is not None and s_prime != store:
-            yield s_prime, store, EdgeReason(
-                "R5",
-                f"{aprog.describe(load)} observed {aprog.describe(store)} "
-                f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-                "by the Value axiom that earlier store must be globally "
-                "ordered before the observed one",
-            ), "R5"
-
-
-class BaselineChecker:
+class BaselineChecker(Checker):
     """Fig. 2 implemented with per-iteration graph traversal."""
 
     name = "baseline"
 
-    def __init__(self, model: MemoryModel = TSO) -> None:
-        self.model = model
-
-    def run(self, aprog: AnalysisProgram) -> CheckResult:
-        """Check one analysis program; return the verdict with a witness."""
-        start = time.perf_counter()
-        stats = CheckStats(nodes=aprog.n)
-
-        violation = precheck_violation(aprog)
-        if violation is not None:
-            stats.seconds = time.perf_counter() - start
-            telemetry.record_check(stats, self.name)
-            return CheckResult(
-                ok=False, model_name=self.model.name, engine=self.name,
-                violation=violation, stats=stats, aprog=aprog,
-            )
-
-        graph = ConstraintGraph(aprog)
-        self._graph = graph
-        try:
-            for u, v, rule in static_edges(aprog, self.model):
-                if graph.add_edge(u, v, EdgeReason(rule, "program order")):
-                    stats.static_edges += 1
-            for u, v, reason, _rule in observed_edges(aprog):
-                if graph.add_edge(u, v, reason):
-                    stats.observed_edges += 1
-            violation = self._fixed_point(aprog, graph, stats)
-        except CycleDetected as exc:
-            violation = self._self_loop_violation(aprog, graph, exc)
-
-        stats.seconds = time.perf_counter() - start
-        telemetry.record_check(stats, self.name)
-        return CheckResult(
-            ok=violation is None,
-            model_name=self.model.name,
-            engine=self.name,
-            violation=violation,
-            stats=stats,
-            aprog=aprog,
-            graph=graph,
-        )
-
-    # ------------------------------------------------------------------
-
     def _fixed_point(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, stats: CheckStats
+        self,
+        aprog: AnalysisProgram,
+        graph: ConstraintGraph,
+        stats: CheckStats,
+        order: List[int],
     ) -> Optional[Violation]:
         """Iterate R6/R7 until no edges are added; cycle-check each pass.
 
@@ -163,15 +51,10 @@ class BaselineChecker:
         resolved (loads whose value maps to no store — a recorded
         precheck failure — are excluded up front rather than re-resolved
         and re-skipped every pass), and stores nobody observed never
-        enter the R7 loop at all.
+        enter the R7 loop at all.  ``order`` is unused: traversal needs
+        none.
         """
         prep = prepare(aprog)
-
-        # Cycle may already exist from static + observed edges.
-        violation = self._cycle_violation(aprog, graph)
-        if violation is not None:
-            return violation
-
         changed = True
         while changed:
             changed = False
@@ -182,7 +65,7 @@ class BaselineChecker:
                 changed |= self._apply_r7(
                     aprog, graph, stats, store, addr, observers
                 )
-            violation = self._cycle_violation(aprog, graph)
+            violation = cycle_violation(aprog, graph)
             if violation is not None:
                 return violation
         return None
@@ -277,35 +160,3 @@ class BaselineChecker:
                     nxt.append(child)
             frontier = nxt
         return order
-
-    def _cycle_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph
-    ) -> Optional[Violation]:
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return None
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"the inferred global memory order contains a cycle of "
-                f"{len(cycle)} operation(s): "
-                + " <= ".join(aprog.describe(n) for n in cycle)
-                + f" <= {aprog.describe(cycle[0])}"
-            ),
-            cycle=cycle,
-            reasons=graph.cycle_reasons(cycle),
-        )
-
-    def _self_loop_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-    ) -> Violation:
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"operation {aprog.describe(exc.u)} is required to precede "
-                "itself (atomic-group redirection collapsed an inferred edge "
-                "into a self-loop)"
-            ),
-            cycle=[exc.u],
-            reasons=[EdgeReason("?", "self-loop")],
-        )

@@ -30,40 +30,15 @@ the literal Fig. 2 baseline.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
-from repro import telemetry
-from repro.core.checker import observed_edges, precheck_violation
-from repro.core.graph import ConstraintGraph, CycleDetected
-from repro.core.policy import MemoryModel, TSO, static_edges
+from repro.core.context import CheckContext
+from repro.core.engine import Checker, cycle_violation
+from repro.core.graph import ConstraintGraph, topological_order
+from repro.core.policy import MemoryModel, TSO
 from repro.core.prep import iter_bits, prepare
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
+from repro.core.result import CheckStats, EdgeReason, Violation
 from repro.model.expansion import AnalysisProgram
-
-
-def topological_order(graph: ConstraintGraph) -> Optional[List[int]]:
-    """Kahn's algorithm; ``None`` if the graph has a cycle."""
-    indeg = [0] * graph.n
-    for node in range(graph.n):
-        for child in graph.succ[node]:
-            indeg[child] += 1
-    frontier = [node for node in range(graph.n) if indeg[node] == 0]
-    order: List[int] = []
-    while frontier:
-        node = frontier.pop()
-        order.append(node)
-        for child in graph.succ[node]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                frontier.append(child)
-    return order if len(order) == graph.n else None
 
 
 def compute_closure(
@@ -86,79 +61,36 @@ def compute_closure(
     return reach_from, reach_to
 
 
-class ClosureChecker:
+class ClosureChecker(Checker):
     """Fig. 2 with per-pass bitset transitive closure."""
 
     name = "closure"
 
-    def __init__(self, model: MemoryModel = TSO, inferred_rules: bool = True) -> None:
+    def __init__(
+        self,
+        model: MemoryModel = TSO,
+        inferred_rules: bool = True,
+        context: Optional[CheckContext] = None,
+    ) -> None:
         """Args:
             model: memory-model ordering policy.
             inferred_rules: apply the R6/R7 fixed point.  Disabling them
                 (the DESIGN.md rule ablation) leaves only static + observed
                 edges — faster, but blind to most cross-processor
                 violations; measured in ``benchmarks/test_ablation_rules.py``.
+            context: see :class:`repro.core.engine.Checker`.
         """
-        self.model = model
+        super().__init__(model, context=context)
         self.inferred_rules = inferred_rules
 
-    def run(self, aprog: AnalysisProgram) -> CheckResult:
-        """Check one analysis program; return the verdict with a witness."""
-        start = time.perf_counter()
-        stats = CheckStats(nodes=aprog.n)
-
-        self._graph = None
-        violation = precheck_violation(aprog)
-        if violation is None:
-            violation = self._analyze(aprog, stats)
-
-        stats.seconds = time.perf_counter() - start
-        telemetry.record_check(stats, self.name)
-        return CheckResult(
-            ok=violation is None,
-            model_name=self.model.name,
-            engine=self.name,
-            violation=violation,
-            stats=stats,
-            aprog=aprog,
-            graph=self._graph,
-        )
-
-    def _initial_edges(self, aprog: AnalysisProgram):
-        """The phase-1 edge stream: (src, dst, reason, kind) tuples.
-
-        ``kind`` is "static" or "observed" (statistics bucketing).
-        Subclasses extend this to inject extra environment-supplied
-        ordering facts.
-        """
-        for u, v, rule in static_edges(aprog, self.model):
-            yield u, v, EdgeReason(rule, "program order"), "static"
-        for u, v, reason, _rule in observed_edges(aprog):
-            yield u, v, reason, "observed"
-
-    # ------------------------------------------------------------------
-
-    def _analyze(
-        self, aprog: AnalysisProgram, stats: CheckStats
+    def _fixed_point(
+        self,
+        aprog: AnalysisProgram,
+        graph: ConstraintGraph,
+        stats: CheckStats,
+        order: List[int],
     ) -> Optional[Violation]:
-        graph = ConstraintGraph(aprog)
-        self._graph = graph
-
-        # Phase 1: static + observed edges (subclasses may extend the
-        # stream — e.g. environment-observed store order, Sec. 3.2).
-        try:
-            for u, v, reason, kind in self._initial_edges(aprog):
-                if graph.add_edge(u, v, reason):
-                    if kind == "static":
-                        stats.static_edges += 1
-                    else:
-                        stats.observed_edges += 1
-        except CycleDetected as exc:
-            return self._violation(aprog, graph, exc)
-
-        order = topological_order(graph)
-        if order is None:
-            return self._found_cycle(aprog, graph)
+        """R6/R7 as bitset intersections, one closure rebuild per pass."""
         if not self.inferred_rules:
             return None
         reach_from, reach_to = compute_closure(graph, order)
@@ -176,78 +108,41 @@ class ClosureChecker:
         prep = prepare(aprog)
         loads, stores, group_first = prep.loads, prep.stores, prep.group_first
 
-        # Phase 2: R6/R7 fixed point; rebuild the closure once per pass.
+        # R6/R7 fixed point; rebuild the closure once per pass.
         while True:
             stats.iterations += 1
             added = 0
-            try:
-                for load, addr, target, target_first in loads:
-                    candidates = (reach_to[load] & stores_at[addr]) & ~(
-                        (1 << target) | reach_to[target_first]
+            for load, addr, target, target_first in loads:
+                candidates = (reach_to[load] & stores_at[addr]) & ~(
+                    (1 << target) | reach_to[target_first]
+                )
+                for s_prime in iter_bits(candidates):
+                    reason = EdgeReason(
+                        "R6",
+                        f"store n{s_prime} precedes load n{load}, which "
+                        f"observed store n{target} (Value axiom)",
                     )
-                    for s_prime in iter_bits(candidates):
+                    if graph.add_edge(s_prime, target, reason):
+                        added += 1
+            for store, addr, observers in stores:
+                candidates = reach_from[store] & stores_at[addr] & ~(1 << store)
+                for s_prime in iter_bits(candidates):
+                    s_prime_first = group_first[s_prime]
+                    for load, load_last in observers:
+                        if (reach_from[load_last] >> s_prime_first) & 1:
+                            continue  # redirected edge already implied
                         reason = EdgeReason(
-                            "R6",
-                            f"store n{s_prime} precedes load n{load}, which "
-                            f"observed store n{target} (Value axiom)",
+                            "R7",
+                            f"load n{load} observed store n{store}, which "
+                            f"precedes store n{s_prime} (Value axiom)",
                         )
-                        if graph.add_edge(s_prime, target, reason):
+                        if graph.add_edge(load, s_prime, reason):
                             added += 1
-                for store, addr, observers in stores:
-                    candidates = reach_from[store] & stores_at[addr] & ~(1 << store)
-                    for s_prime in iter_bits(candidates):
-                        s_prime_first = group_first[s_prime]
-                        for load, load_last in observers:
-                            if (reach_from[load_last] >> s_prime_first) & 1:
-                                continue  # redirected edge already implied
-                            reason = EdgeReason(
-                                "R7",
-                                f"load n{load} observed store n{store}, which "
-                                f"precedes store n{s_prime} (Value axiom)",
-                            )
-                            if graph.add_edge(load, s_prime, reason):
-                                added += 1
-            except CycleDetected as exc:
-                return self._violation(aprog, graph, exc)
             if not added:
                 return None
             stats.inferred_edges += added
             order = topological_order(graph)
             if order is None:
-                return self._found_cycle(aprog, graph)
+                return cycle_violation(aprog, graph)
             reach_from, reach_to = compute_closure(graph, order)
             stats.closure_rebuilds += 1
-
-    # ------------------------------------------------------------------
-
-    def _found_cycle(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph
-    ) -> Violation:
-        cycle = graph.find_cycle()
-        assert cycle is not None
-        return self._cycle_violation(aprog, graph, cycle)
-
-    def _violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-    ) -> Violation:
-        """Build a cycle witness from the edge that closed the cycle."""
-        if exc.u == exc.v:
-            cycle = [exc.u]
-        else:
-            cycle = graph.cycle_through_edge(exc.u, exc.v)
-        return self._cycle_violation(aprog, graph, cycle)
-
-    def _cycle_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, cycle: List[int]
-    ) -> Violation:
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"the inferred global memory order contains a cycle of "
-                f"{len(cycle)} operation(s): "
-                + " <= ".join(aprog.describe(n) for n in cycle)
-                + f" <= {aprog.describe(cycle[0])}"
-            ),
-            cycle=cycle,
-            reasons=graph.cycle_reasons(cycle),
-        )

@@ -103,25 +103,18 @@ def _recompute_reach_to(aprog: AnalysisProgram, model: MemoryModel) -> List[int]
     Runs the baseline rules to fixed point and returns, for each node,
     the bitset of nodes ordered before it (excluding itself).
     """
-    from repro.core.checker import BaselineChecker, observed_edges
-    from repro.core.graph import ConstraintGraph
-    from repro.core.policy import static_edges
-    from repro.core.result import CheckStats, EdgeReason
+    from repro.core.checker import BaselineChecker
+    from repro.core.graph import topological_order
+    from repro.core.result import CheckStats
 
     checker = BaselineChecker(model)
-    graph = ConstraintGraph(aprog)
-    stats = CheckStats(nodes=aprog.n)
-    for u, v, rule in static_edges(aprog, model):
-        graph.add_edge(u, v, EdgeReason(rule))
-    for u, v, reason, _rule in observed_edges(aprog):
-        graph.add_edge(u, v, reason)
-    checker._fixed_point(aprog, graph, stats)
+    violation = checker._analyze(aprog, CheckStats(nodes=aprog.n))
+    assert violation is None, "acyclic by hypothesis (check passed)"
+    graph = checker._graph
 
-    # Closure by DP over a topological order (graph is acyclic here).
-    from repro.core.closure import topological_order
-
+    # Closure by DP over a topological order.
     order = topological_order(graph)
-    assert order is not None, "acyclic by hypothesis (check passed)"
+    assert order is not None
     reach_to = [0] * aprog.n
     for node in order:
         mask = 0

@@ -11,10 +11,11 @@ a batch the buffers are *reused, never trusted* — every value is
 rewritten by the closure DP before the fixed point reads it, which is
 what the cross-engine fresh-vs-reused parity suite asserts.
 
-A context is deliberately engine-agnostic: :func:`repro.core.api.make_checker`
-attaches one to any engine (``checker.context``), and engines that have
-no reusable state simply ignore it — so the same reuse-parity test runs
-every engine twice on one context without special cases.
+A context is deliberately engine-agnostic: every engine accepts one
+through the shared :class:`repro.core.engine.Checker` constructor
+(``checker.context``), and engines that have no reusable state simply
+ignore it — so the same reuse-parity test runs every engine twice on
+one context without special cases.
 
 Contexts are single-threaded scratch, like the checkers themselves: one
 per pool worker (or per batch), never shared across processes.

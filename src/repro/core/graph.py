@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.result import EdgeReason
+from repro.core.result import CheckStats, EdgeReason
 from repro.model.expansion import AnalysisProgram
 
 
@@ -227,3 +227,75 @@ class ConstraintGraph:
             nxt = cycle[(i + 1) % len(cycle)]
             out.append(self.reasons.get((node, nxt), EdgeReason("?", "edge of cycle")))
         return out
+
+
+def topological_order(graph: ConstraintGraph) -> Optional[List[int]]:
+    """Kahn's algorithm; ``None`` if the graph has a cycle."""
+    indeg = [0] * graph.n
+    for node in range(graph.n):
+        for child in graph.succ[node]:
+            indeg[child] += 1
+    frontier = [node for node in range(graph.n) if indeg[node] == 0]
+    order: List[int] = []
+    while frontier:
+        node = frontier.pop()
+        order.append(node)
+        for child in graph.succ[node]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                frontier.append(child)
+    return order if len(order) == graph.n else None
+
+
+def reorder(
+    graph: ConstraintGraph,
+    ord_: List[int],
+    u: int,
+    v: int,
+    reason: EdgeReason,
+    stats: CheckStats,
+) -> None:
+    """Pearce–Kelly local reordering for the insertion of ``u -> v``.
+
+    ``ord_`` is a topological order of ``graph`` held as per-node
+    indices, maintained online by the incremental engines.  When ``u``
+    already precedes ``v`` the edge is order-compatible and nothing is
+    visited.  Otherwise the affected region — forward from ``v`` up to
+    ``u``'s index, backward from ``u`` down to ``v``'s index — is
+    discovered and its order indices are redealt, ancestors first.  The
+    forward search reaching ``u`` is a cycle: the edge is recorded (so
+    the witness can explain it) and :class:`CycleDetected` is raised.
+    ``u`` and ``v`` must already be redirected.
+    """
+    upper = ord_[u]
+    if upper < ord_[v]:
+        return
+    succ, pred = graph.succ, graph.pred
+    lower = ord_[v]
+    forward = {v}
+    stack = [v]
+    while stack:
+        node = stack.pop()
+        for child in succ[node]:
+            if child == u:
+                # Path v ~> u exists: u -> v closes a cycle.  Record
+                # the edge so cycle_reasons can name its rule.
+                graph.add_redirected(u, v, reason)
+                raise CycleDetected(u, v)
+            if child not in forward and ord_[child] <= upper:
+                forward.add(child)
+                stack.append(child)
+    backward = {u}
+    stack = [u]
+    while stack:
+        node = stack.pop()
+        for parent in pred[node]:
+            if parent not in backward and ord_[parent] >= lower:
+                backward.add(parent)
+                stack.append(parent)
+    stats.reorder_visits += len(forward) + len(backward)
+    affected = sorted(backward, key=ord_.__getitem__)
+    affected += sorted(forward, key=ord_.__getitem__)
+    slots = sorted(ord_[node] for node in affected)
+    for node, slot in zip(affected, slots):
+        ord_[node] = slot

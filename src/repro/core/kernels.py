@@ -33,12 +33,6 @@ array operations per *address* per fixed-point round:
 * :func:`suppression_mask` — the R7 implied-edge test for a whole batch
   of (candidate, observer) pairs as one fancy-indexed compare against
   the backward-frontier view.
-* packed-bitset kernels (:func:`packed_closure`, :func:`or_sweep`,
-  :func:`mask_row`, :func:`packed_bit`) — closure reachability as
-  bit-packed uint64 rows built by word-wise OR sweeps over the
-  topological order; the matrix engine's representation, hoisted here
-  so it can be unit-tested against the Python-int reference
-  (:func:`repro.core.closure.compute_closure`).
 
 numpy is an *optional* extra (``pip install repro[fast]``).  Every
 kernel has a scalar reference implementation used both by the
@@ -475,62 +469,3 @@ def suppression_mask_scalar(
         from_rows[node][chain] > limit
         for node, chain, limit in zip(nodes, chains, limits)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Packed uint64 bitset kernels (the matrix engine's representation)
-# ---------------------------------------------------------------------------
-
-
-def words_for(n: int) -> int:
-    """Packed words needed for ``n`` bits (64 per word)."""
-    return (n + 63) // 64
-
-
-def packed_bit(matrix, row: int, col: int) -> bool:
-    """Test bit ``col`` of packed row ``row``."""
-    return bool((int(matrix[row, col >> 6]) >> (col & 63)) & 1)
-
-
-def set_packed_bit(matrix, row: int, col: int) -> None:
-    """Set bit ``col`` of packed row ``row``."""
-    matrix[row, col >> 6] |= np.uint64(1 << (col & 63))
-
-
-def mask_row(n: int, members: Sequence[int]):
-    """Pack a member list into one uint64 row bitset."""
-    row = np.zeros(words_for(n), dtype=np.uint64)
-    for member in members:
-        row[member >> 6] |= np.uint64(1 << (member & 63))
-    return row
-
-
-def or_sweep(reach, order: Sequence[int], neighbors: Sequence[Sequence[int]]) -> None:
-    """Word-wise OR sweep: fold each node's neighbor rows into its own.
-
-    ``order`` must be topological with neighbors already final —
-    reversed order with ``succ`` builds descendant sets, forward order
-    with ``pred`` ancestor sets.  Each node's own bit is set first, so
-    reach sets are reflexive like the scalar engines'.
-    """
-    for node in order:
-        row = reach[node]
-        row[node >> 6] |= np.uint64(1 << (node & 63))
-        for neighbor in neighbors[node]:
-            np.bitwise_or(row, reach[neighbor], out=row)
-
-
-def packed_closure(n: int, order: Sequence[int], succ, pred):
-    """Both packed reachability matrices via two OR sweeps.
-
-    Returns ``(reach_from, reach_to)`` — row ``v`` of ``reach_from`` is
-    ``v``'s descendant set (64 nodes per word), row ``v`` of
-    ``reach_to`` its ancestor set.  Scalar reference: the Python-int
-    bitsets of :func:`repro.core.closure.compute_closure`.
-    """
-    nwords = words_for(n)
-    reach_from = np.zeros((n, nwords), dtype=np.uint64)
-    reach_to = np.zeros((n, nwords), dtype=np.uint64)
-    or_sweep(reach_from, list(reversed(order)), succ)
-    or_sweep(reach_to, order, pred)
-    return reach_from, reach_to

@@ -6,9 +6,8 @@ starts: the loads with their observed-store targets resolved (and the
 atomic-group endpoints the closure pruning must respect), the stores
 with their observer loads, and the per-node ``group_first`` table.
 Historically each engine rebuilt these independently — the baseline
-even re-resolved ``map_value`` every fixed-point pass — and the set-bit
-iteration helpers were duplicated between the int-bitset and numpy
-engines.  This module is the single home for all of it.
+even re-resolved ``map_value`` every fixed-point pass.  This module is
+the single home for all of it.
 """
 
 from __future__ import annotations
@@ -36,25 +35,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def iter_packed_bits(row) -> List[int]:
-    """Set-bit indices of a packed uint64 word sequence (numpy row).
-
-    Word ``i`` holds bits ``[64*i, 64*i+64)``; only nonzero words are
-    expanded, so sparse rows stay cheap.
-    """
-    import numpy as np
-
-    out: List[int] = []
-    for word_index in np.flatnonzero(row):
-        word = int(row[word_index])
-        base = int(word_index) << 6
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length() - 1)
-            word ^= low
-    return out
 
 
 class Chains:

@@ -205,7 +205,7 @@ class CheckStats:
 
     Every engine fills the shared fields; ``traversals``/
     ``traversal_visits`` are traversal-engine specific,
-    ``closure_rebuilds`` closure/matrix/vc-engine specific, and
+    ``closure_rebuilds`` closure/vc-engine specific, and
     ``vc_queries``/``reorder_visits`` vc-engine specific.  The per-run
     stats also feed :func:`repro.telemetry.record_check`, which folds
     them into the process-wide ``check.*`` counters.
@@ -223,7 +223,7 @@ class CheckStats:
     #: during the traversal of predecessor/successor subgraphs").
     traversals: int = 0
     traversal_visits: int = 0
-    #: Closure/matrix/vc engines only: how many times the transitive
+    #: Closure/vc engines only: how many times the transitive
     #: closure was recomputed from scratch.  The per-pass engines pay
     #: one rebuild per fixed-point iteration; the incremental vc engine
     #: builds it exactly once and propagates deltas afterwards.
@@ -283,7 +283,7 @@ class CheckResult:
             ``ok=True`` does not prove compliance.
         model_name: the memory model the execution was checked against.
         engine: the checker engine used (``baseline``, ``closure``,
-            ``matrix``, ``vc`` or ``stream``).
+            ``vc``, ``vck`` or ``stream``).
         violation: the witness, when ``ok`` is False.
         stats: analysis-size and runtime bookkeeping.
         aprog: the analysis program, retained for rendering.

@@ -75,16 +75,11 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.core.checker import precheck_violation
-from repro.core.graph import ConstraintGraph, CycleDetected
+from repro.core.context import CheckContext
+from repro.core.engine import Checker, cycle_violation, precheck_violation
+from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.policy import MemoryModel, TSO
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
+from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
 from repro.model.expansion import (
     NO_GROUP,
     AnalysisProgram,
@@ -139,13 +134,11 @@ class _StreamState:
         model: MemoryModel,
         stats: CheckStats,
         window: int = DEFAULT_WINDOW,
-        inferred_rules: bool = True,
     ) -> None:
         self.aprog = aprog
         self.model = model
         self.stats = stats
         self.window = max(1, int(window))
-        self.inferred_rules = inferred_rules
         self._full_po = (
             model.load_load and model.load_store
             and model.store_store and model.store_load
@@ -468,8 +461,6 @@ class _StreamState:
             )
             if self._add_edge(s_prime, target, reason):
                 self.stats.observed_edges += 1
-        if not self.inferred_rules:
-            return
         self._r6_items[load] = [op.addr, target, aprog.group_first(target), {}]
         self._dirty_r6.add(load)
         if self._vec_from[target] is not None:
@@ -667,54 +658,14 @@ class _StreamState:
             raise CycleDetected(u, v)
         if graph.has_edge(u, v):
             return False
-        self._reorder(u, v, reason)
+        # The order covers every node ever admitted — retirement drops
+        # vectors, never order indices — so detection stays exact across
+        # retired epochs.
+        reorder(graph, self._ord, u, v, reason, self.stats)
         graph.add_edge(u, v, reason)
         self._push_forward(u, v)
         self._push_backward(u, v)
         return True
-
-    def _reorder(self, u: int, v: int, reason: EdgeReason) -> None:
-        """Pearce–Kelly local reordering for the insertion of ``u -> v``.
-
-        Identical to the vc engine's: the forward search from ``v``
-        reaching ``u`` *is* the cycle.  The order covers every node ever
-        admitted — retirement drops vectors, never order indices — so
-        detection stays exact across retired epochs.
-        """
-        ord_ = self._ord
-        upper = ord_[u]
-        if upper < ord_[v]:
-            return
-        graph = self.graph
-        succ, pred = graph.succ, graph.pred
-        lower = ord_[v]
-        forward = {v}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for child in succ[node]:
-                if child == u:
-                    # Path v ~> u exists: u -> v closes a cycle.  Record
-                    # the edge so cycle_reasons can name its rule.
-                    graph.add_edge(u, v, reason)
-                    raise CycleDetected(u, v)
-                if child not in forward and ord_[child] <= upper:
-                    forward.add(child)
-                    stack.append(child)
-        backward = {u}
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            for parent in pred[node]:
-                if parent not in backward and ord_[parent] >= lower:
-                    backward.add(parent)
-                    stack.append(parent)
-        self.stats.reorder_visits += len(forward) + len(backward)
-        affected = sorted(backward, key=ord_.__getitem__)
-        affected += sorted(forward, key=ord_.__getitem__)
-        slots = sorted(ord_[node] for node in affected)
-        for node, slot in zip(affected, slots):
-            ord_[node] = slot
 
     def _push_forward(self, u: int, v: int) -> None:
         """Propagate ``u``'s backward frontier into ``v``'s descendants.
@@ -854,27 +805,6 @@ class _StreamState:
             ))
 
 
-def _cycle_violation(
-    aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-) -> Violation:
-    """The same cycle witness the batch engines build."""
-    if exc.u == exc.v:
-        cycle = [exc.u]
-    else:
-        cycle = graph.cycle_through_edge(exc.u, exc.v)
-    return Violation(
-        kind=ViolationKind.CYCLE,
-        message=(
-            f"the inferred global memory order contains a cycle of "
-            f"{len(cycle)} operation(s): "
-            + " <= ".join(aprog.describe(n) for n in cycle)
-            + f" <= {aprog.describe(cycle[0])}"
-        ),
-        cycle=cycle,
-        reasons=graph.cycle_reasons(cycle),
-    )
-
-
 class StreamSession:
     """One live checking session: feed dynamic records, get the verdict.
 
@@ -894,7 +824,6 @@ class StreamSession:
         word_names: Optional[Dict[int, str]] = None,
         nprocs: int = 0,
         window: int = DEFAULT_WINDOW,
-        inferred_rules: bool = True,
     ) -> None:
         self.model = model
         self._start = time.perf_counter()
@@ -903,10 +832,7 @@ class StreamSession:
         )
         self.aprog = self._expander.aprog
         self.stats = CheckStats()
-        self._state = _StreamState(
-            self.aprog, model, self.stats,
-            window=window, inferred_rules=inferred_rules,
-        )
+        self._state = _StreamState(self.aprog, model, self.stats, window=window)
         self._rec_counts: Dict[int, int] = {}
         self.violation: Optional[Violation] = None
         self._finished: Optional[CheckResult] = None
@@ -926,7 +852,7 @@ class StreamSession:
                 self._state.admit(op_id)
             self._state.settle()
         except CycleDetected as exc:
-            self.violation = _cycle_violation(self.aprog, self._state.graph, exc)
+            self.violation = cycle_violation(self.aprog, self._state.graph, exc)
         return self.violation
 
     def finish(self) -> CheckResult:
@@ -951,7 +877,7 @@ class StreamSession:
         return self._finished
 
 
-class StreamingChecker:
+class StreamingChecker(Checker):
     """Fig. 2 as an online algorithm: bounded live state, early verdicts."""
 
     name = "stream"
@@ -959,19 +885,17 @@ class StreamingChecker:
     def __init__(
         self,
         model: MemoryModel = TSO,
-        inferred_rules: bool = True,
         window: int = DEFAULT_WINDOW,
+        context: Optional[CheckContext] = None,
     ) -> None:
         """Args:
             model: memory-model ordering policy.
-            inferred_rules: apply the R6/R7 fixed point (the DESIGN.md
-                rule ablation, as on the closure and vc engines).
             window: frontier-retirement window in admitted analysis ops;
                 live checker state is O(window), verdicts are windowed
                 (see the module docstring).
+            context: see :class:`repro.core.engine.Checker`.
         """
-        self.model = model
-        self.inferred_rules = inferred_rules
+        super().__init__(model, context=context)
         self.window = window
 
     def open_session(
@@ -988,66 +912,41 @@ class StreamingChecker:
             self.model, addresses,
             initial=initial, word_names=word_names, nprocs=nprocs,
             window=self.window if window is None else window,
-            inferred_rules=self.inferred_rules,
         )
 
-    def run(self, aprog: AnalysisProgram) -> CheckResult:
-        """Check a completed analysis program by replaying it through the
-        incremental core, one dynamic record at a time.
+    def _analyze(
+        self, aprog: AnalysisProgram, stats: CheckStats
+    ) -> Optional[Violation]:
+        """Replay a completed analysis program through the incremental
+        core, one dynamic record at a time.
 
-        The up-front precheck runs first, exactly like the batch engines,
-        so verdict *and* violation kind agree with them even on traces
-        that contain both an unmapped value and a cycle.
+        :meth:`run` has already applied the up-front precheck, exactly
+        like the batch engines, so verdict *and* violation kind agree
+        with them even on traces that contain both an unmapped value and
+        a cycle.
         """
-        start = time.perf_counter()
-        stats = CheckStats(nodes=aprog.n)
-        graph = None
-        violation = precheck_violation(aprog)
-        if violation is None:
-            state = _StreamState(
-                aprog, self.model, stats,
-                window=self.window, inferred_rules=self.inferred_rules,
-            )
-            graph = state.graph
-            try:
-                current_rec: Optional[Tuple[int, object]] = None
-                for op in aprog.ops:
-                    if op.is_root:
-                        continue
-                    key = (op.proc, op.origin)
-                    if current_rec is not None and key != current_rec:
-                        state.settle()
-                    current_rec = key
-                    state.admit(op.id)
-                state.settle()
-            except CycleDetected as exc:
-                violation = _cycle_violation(aprog, graph, exc)
-        stats.seconds = time.perf_counter() - start
-        telemetry.record_check(stats, self.name)
-        return CheckResult(
-            ok=violation is None,
-            model_name=self.model.name,
-            engine=self.name,
-            violation=violation,
-            stats=stats,
-            aprog=aprog,
-            graph=graph,
-        )
-
-
-class StreamViolationStop(Exception):
-    """Raised out of the machine's observer to abort a doomed run early."""
-
-    def __init__(self, violation: Violation) -> None:
-        super().__init__(violation.message)
-        self.violation = violation
+        state = _StreamState(aprog, self.model, stats, window=self.window)
+        self._graph = state.graph
+        try:
+            current_rec: Optional[Tuple[int, object]] = None
+            for op in aprog.ops:
+                if op.is_root:
+                    continue
+                key = (op.proc, op.origin)
+                if current_rec is not None and key != current_rec:
+                    state.settle()
+                current_rec = key
+                state.admit(op.id)
+            state.settle()
+        except CycleDetected as exc:
+            return cycle_violation(aprog, state.graph, exc)
+        return None
 
 
 def stream_check_machine(
     machine,
     model: MemoryModel = TSO,
     window: int = DEFAULT_WINDOW,
-    stop_on_violation: bool = False,
     on_record: Optional[Callable[[int, int], None]] = None,
 ):
     """Run a :class:`~repro.sim.machine.TsoMachine`, checking its observed
@@ -1058,16 +957,12 @@ def stream_check_machine(
             hook must be free (this function installs one).
         model: memory model to check against.
         window: frontier-retirement window (see :data:`DEFAULT_WINDOW`).
-        stop_on_violation: abort the simulation the moment a cycle
-            closes, instead of running the program to completion; the
-            returned execution is then ``None`` (partial run).
         on_record: optional ``(pid, rec_idx)`` progress callback, invoked
             after each record is checked.
 
     Returns:
         ``(result, execution)`` — the :class:`CheckResult` and the full
-        observed :class:`~repro.model.trace.Execution` (``None`` when the
-        run was aborted early).
+        observed :class:`~repro.model.trace.Execution`.
     """
     program = machine.program
     session = StreamingChecker(model, window=window).open_session(
@@ -1078,17 +973,13 @@ def stream_check_machine(
     )
 
     def observer(pid: int, rec_idx: int, rec: DynRecord) -> None:
-        violation = session.feed(pid, rec, rec_idx)
+        session.feed(pid, rec, rec_idx)
         if on_record is not None:
             on_record(pid, rec_idx)
-        if violation is not None and stop_on_violation:
-            raise StreamViolationStop(violation)
 
     machine.observer = observer
     try:
         execution = machine.run()
-    except StreamViolationStop:
-        execution = None
     finally:
         machine.observer = None
     return session.finish(), execution

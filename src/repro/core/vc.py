@@ -40,126 +40,45 @@ things the per-pass engines pay for repeatedly:
 
 Atomic-group redirection and the R5 ``S';L`` subtlety are inherited
 bit-for-bit: edges are stored in the same :class:`ConstraintGraph`
-(which performs the paper's redirection), and the R4/R5 edge stream is
-the shared :func:`repro.core.checker.observed_edges`.  Verdict
-agreement with the other three engines is enforced by
-``tests/test_properties.py``.
+(which performs the paper's redirection), and the R1–R5 seeding is the
+shared one of :class:`repro.core.engine.Checker`.  Verdict agreement
+with the other engines is enforced by ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro import telemetry
-from repro.core.checker import observed_edges, precheck_violation
-from repro.core.closure import topological_order
-from repro.core.graph import ConstraintGraph, CycleDetected
-from repro.core.policy import MemoryModel, TSO, static_edges
+from repro.core.engine import Checker
+from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.prep import Chains, EnginePrep, prepare
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
-from repro.core.context import CheckContext
+from repro.core.result import CheckStats, EdgeReason, Violation
 from repro.model.expansion import AnalysisProgram
 
-#: Back-compat alias: the chain decomposition moved to
-#: :class:`repro.core.prep.Chains` so the scalar and kernel engines
-#: share one construction (tests and downstream code keep importing it
-#: from here).
-_Chains = Chains
 
-
-class VectorClockChecker:
+class VectorClockChecker(Checker):
     """Fig. 2 with incremental frontier vectors and online topo order."""
 
     name = "vc"
 
-    def __init__(
+    # ------------------------------------------------------------------
+    # Phase 1: chain decomposition, one closure build
+    # ------------------------------------------------------------------
+
+    def _fixed_point(
         self,
-        model: MemoryModel = TSO,
-        inferred_rules: bool = True,
-        context: Optional["CheckContext"] = None,
-    ) -> None:
-        """Args:
-            model: memory-model ordering policy.
-            inferred_rules: apply the R6/R7 fixed point (disabling them
-                is the DESIGN.md rule ablation, as on the closure
-                engine).
-            context: optional :class:`~repro.core.context.CheckContext`
-                whose scratch buffers are reused across runs — the
-                batched-campaign state-reuse path.  The scalar engine
-                carries it for its subclasses (vck consumes the numpy
-                frontier buffers); ``None`` allocates per run.
-        """
-        self.model = model
-        self.inferred_rules = inferred_rules
-        self.context = context
-        if context is not None:
-            context.checks += 1
-
-    def run(self, aprog: AnalysisProgram) -> CheckResult:
-        """Check one analysis program; return the verdict with a witness."""
-        start = time.perf_counter()
-        stats = CheckStats(nodes=aprog.n)
-
-        self._graph: Optional[ConstraintGraph] = None
-        violation = precheck_violation(aprog)
-        if violation is None:
-            violation = self._analyze(aprog, stats)
-
-        stats.seconds = time.perf_counter() - start
-        telemetry.record_check(stats, self.name)
-        return CheckResult(
-            ok=violation is None,
-            model_name=self.model.name,
-            engine=self.name,
-            violation=violation,
-            stats=stats,
-            aprog=aprog,
-            graph=self._graph,
-        )
-
-    # ------------------------------------------------------------------
-    # Phase 1: bulk edges, chain decomposition, one closure build
-    # ------------------------------------------------------------------
-
-    def _analyze(
-        self, aprog: AnalysisProgram, stats: CheckStats
+        aprog: AnalysisProgram,
+        graph: ConstraintGraph,
+        stats: CheckStats,
+        order: List[int],
     ) -> Optional[Violation]:
-        graph = ConstraintGraph(aprog)
-        self._graph = graph
+        """Build the frontiers once from the seeded graph, then iterate."""
         self._stats = stats
-
-        try:
-            for u, v, rule in static_edges(aprog, self.model):
-                if graph.add_edge(u, v, EdgeReason(rule, "program order")):
-                    stats.static_edges += 1
-            for u, v, reason, _rule in observed_edges(aprog):
-                if graph.add_edge(u, v, reason):
-                    stats.observed_edges += 1
-        except CycleDetected as exc:
-            return self._violation(aprog, graph, exc)
-
-        order = topological_order(graph)
-        if order is None:
-            return self._found_cycle(aprog, graph)
-        if not self.inferred_rules:
-            return None
-
-        self._chains = _Chains(aprog, self.model)
+        self._chains = Chains(aprog, self.model)
         self._init_state(graph, order)
         stats.closure_rebuilds += 1
-        prep = prepare(aprog)
-        try:
-            return self._fixed_point(aprog, graph, stats, prep)
-        except CycleDetected as exc:
-            return self._violation(aprog, graph, exc)
+        return self._rounds(aprog, graph, stats, prepare(aprog))
 
     def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
         """Build frontiers and the topological order in one DP pass.
@@ -210,13 +129,14 @@ class VectorClockChecker:
     # Phase 2: the R6/R7 fixed point over live frontiers
     # ------------------------------------------------------------------
 
-    def _fixed_point(
+    def _rounds(
         self,
         aprog: AnalysisProgram,
         graph: ConstraintGraph,
         stats: CheckStats,
         prep: EnginePrep,
     ) -> Optional[Violation]:
+        """Whole-work-list R6/R7 passes until one adds no edge."""
         group_first = prep.group_first
         # The observer-suppression test (``_reaches``) runs for every
         # (R7 candidate, observer) pair — millions of times at paper
@@ -330,60 +250,14 @@ class VectorClockChecker:
         if graph.has_edge(u, v):
             return False
         # Order-compatible edges (the overwhelming majority) skip the
-        # Pearce–Kelly call entirely; _reorder repeats this guard for
+        # Pearce–Kelly call entirely; reorder() repeats this guard for
         # callers that reach it directly.
         if self._ord[u] >= self._ord[v]:
-            self._reorder(u, v, reason)
+            reorder(graph, self._ord, u, v, reason, self._stats)
         graph.add_redirected(u, v, reason)
         self._push_forward(u, v)
         self._push_backward(u, v)
         return True
-
-    def _reorder(self, u: int, v: int, reason: EdgeReason) -> None:
-        """Pearce–Kelly local reordering for the insertion of ``u -> v``.
-
-        When ``u`` already precedes ``v`` in the maintained order the
-        edge is order-compatible and nothing is visited.  Otherwise the
-        affected region — forward from ``v`` up to ``u``'s index,
-        backward from ``u`` down to ``v``'s index — is discovered and
-        its order indices are redealt, ancestors first.  The forward
-        search reaching ``u`` is a cycle: the edge is recorded (so the
-        witness can explain it) and :class:`CycleDetected` is raised.
-        """
-        ord_ = self._ord
-        upper = ord_[u]
-        if upper < ord_[v]:
-            return
-        graph = self._graph
-        succ, pred = graph.succ, graph.pred
-        lower = ord_[v]
-        forward = {v}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for child in succ[node]:
-                if child == u:
-                    # Path v ~> u exists: u -> v closes a cycle.  Record
-                    # the edge so cycle_reasons can name its rule.
-                    graph.add_redirected(u, v, reason)
-                    raise CycleDetected(u, v)
-                if child not in forward and ord_[child] <= upper:
-                    forward.add(child)
-                    stack.append(child)
-        backward = {u}
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            for parent in pred[node]:
-                if parent not in backward and ord_[parent] >= lower:
-                    backward.add(parent)
-                    stack.append(parent)
-        self._stats.reorder_visits += len(forward) + len(backward)
-        affected = sorted(backward, key=ord_.__getitem__)
-        affected += sorted(forward, key=ord_.__getitem__)
-        slots = sorted(ord_[node] for node in affected)
-        for node, slot in zip(affected, slots):
-            ord_[node] = slot
 
     def _push_forward(self, u: int, v: int) -> None:
         """Propagate ``u``'s backward frontier into ``v``'s descendants."""
@@ -427,37 +301,3 @@ class VectorClockChecker:
                 vec[chain] = pos
             for parent in pred[node]:
                 stack.append((parent, improved))
-
-    # ------------------------------------------------------------------
-
-    def _found_cycle(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph
-    ) -> Violation:
-        cycle = graph.find_cycle()
-        assert cycle is not None
-        return self._cycle_violation(aprog, graph, cycle)
-
-    def _violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-    ) -> Violation:
-        """Build a cycle witness from the edge that closed the cycle."""
-        if exc.u == exc.v:
-            cycle = [exc.u]
-        else:
-            cycle = graph.cycle_through_edge(exc.u, exc.v)
-        return self._cycle_violation(aprog, graph, cycle)
-
-    def _cycle_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, cycle: List[int]
-    ) -> Violation:
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"the inferred global memory order contains a cycle of "
-                f"{len(cycle)} operation(s): "
-                + " <= ".join(aprog.describe(n) for n in cycle)
-                + f" <= {aprog.describe(cycle[0])}"
-            ),
-            cycle=cycle,
-            reasons=graph.cycle_reasons(cycle),
-        )

@@ -4,8 +4,9 @@ Sixth implementation of the Fig. 2 rules: the vc engine's algorithm —
 chain frontiers, Pearce–Kelly online cycle detection — re-expressed
 over the batched compute layer in :mod:`repro.core.kernels`.  The
 candidate semantics and witness format are identical to
-:class:`VectorClockChecker` (this class inherits its edge insertion,
-reordering, and violation paths); what changes is how the hot loops
+:class:`VectorClockChecker` (this class inherits its edge insertion and
+Pearce–Kelly reordering, and the witness comes from the shared
+:class:`repro.core.engine.Checker`); what changes is how the hot loops
 execute:
 
 * **Frontier state is two ``(n, k)`` numpy matrices** (``m_to``:
@@ -55,7 +56,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.graph import ConstraintGraph, CycleDetected
+from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.prep import EnginePrep
 from repro.core.result import CheckStats, EdgeReason, Violation
 from repro.core.vc import VectorClockChecker
@@ -138,7 +139,7 @@ class KernelVectorChecker(VectorClockChecker):
         if v in succ_set:
             return False
         if self._ord[u] >= self._ord[v]:
-            self._reorder(u, v, reason)
+            reorder(graph, self._ord, u, v, reason, self._stats)
         succ_set.add(v)
         graph.succ[u].append(v)
         graph.pred[v].append(u)
@@ -187,7 +188,7 @@ class KernelVectorChecker(VectorClockChecker):
     # The fixed point: batched per-address rounds
     # ------------------------------------------------------------------
 
-    def _fixed_point(
+    def _rounds(
         self,
         aprog: AnalysisProgram,
         graph: ConstraintGraph,
@@ -195,7 +196,7 @@ class KernelVectorChecker(VectorClockChecker):
         prep: EnginePrep,
     ) -> Optional[Violation]:
         if not self._use_kernels:
-            return super()._fixed_point(aprog, graph, stats, prep)
+            return super()._rounds(aprog, graph, stats, prep)
         np = kernels.np
         chains = self._chains
         n = self._n

@@ -95,9 +95,6 @@ class CampaignManifest:
     #: excluded from its digest, so batched and unbatched submissions
     #: of the same campaign share one job id and one result store.
     batch: int = 1
-    #: Overlap checking with simulation per attempt (see
-    #: ``CampaignConfig.pipeline``).  Digest-excluded like ``batch``.
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if not self.name or not all(
@@ -136,14 +133,13 @@ class CampaignManifest:
     def digest(self) -> str:
         """Content digest of the canonical JSON form (hex, full).
 
-        Execution-strategy knobs (``batch``, ``pipeline``) are stripped
-        before digesting: they change how hunts are dispatched, never
-        which hunts run or what they record, so submissions differing
-        only in those knobs attach to the same job.
+        The execution-strategy knob ``batch`` is stripped before
+        digesting: it changes how hunts are dispatched, never which hunts
+        run or what they record, so submissions differing only in it
+        attach to the same job.
         """
         doc = self.to_dict()
         doc.pop("batch", None)
-        doc.pop("pipeline", None)
         return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
 
     @property
@@ -207,7 +203,6 @@ class CampaignManifest:
             sched=self.sched,
             engine=self.engine,
             batch=self.batch,
-            pipeline=self.pipeline,
         )
         if self.generator is not None:
             kwargs["generator"] = self.generator
@@ -231,12 +226,15 @@ class CampaignManifest:
                 else dataclasses.asdict(self.generator)
             ),
             "batch": self.batch,
-            "pipeline": self.pipeline,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignManifest":
-        """Parse a v1 document; raises ``ValueError`` on bad content."""
+        """Parse a v1 document; raises ``ValueError`` on bad content.
+
+        Keys this version no longer reads — ``pipeline``, written by
+        older versions — are ignored; they were never part of the digest.
+        """
         version = data.get("version", MANIFEST_VERSION)
         if version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
@@ -255,7 +253,6 @@ class CampaignManifest:
                 else generator_from_meta(dict(generator))  # type: ignore[arg-type]
             ),
             batch=int(data.get("batch", 1)),  # type: ignore[arg-type]
-            pipeline=bool(data.get("pipeline", False)),
         )
 
     def to_json(self) -> str:

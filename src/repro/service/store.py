@@ -81,9 +81,10 @@ def hunt_digest(hunt: BugHunt) -> str:
     Excluding the schedule keeps the digest equal between a stored hunt
     whose duplicate schedule was bucketed away and the identical hunt of
     a from-scratch campaign — the property the resume tests assert by
-    digest-set equality.  ``ops`` is excluded for the same reason: a
-    pipelined hunt aborts violating runs early, so it simulates fewer
-    ops than the conventional path on its way to the identical verdict.
+    digest-set equality.  ``ops`` is excluded so that hunts stored by
+    older versions — which recorded no op count, or a smaller one from
+    the since-removed pipelined mode — keep the digest of the identical
+    hunt run today.
     """
     doc = hunt.to_dict()
     doc.pop("schedule", None)

@@ -1,9 +1,9 @@
-"""Batched dispatch and pipelined campaigns: determinism regressions.
+"""Batched dispatch: determinism regressions.
 
 The contract under test is the tentpole invariant of the batching work:
-``batch``, ``workers`` and ``pipeline`` change *how* a campaign's hunts
-execute — task granularity, process fan-out, check/simulate overlap —
-never *which* hunts run or what they record.  Hunt-digest-set equality
+``batch`` and ``workers`` change *how* a campaign's hunts execute — task
+granularity and process fan-out — never *which* hunts run or what they
+record.  Hunt-digest-set equality
 (the store's resume witness, schedule and ops excluded) is the
 observable.
 """
@@ -81,36 +81,6 @@ class TestBatchDeterminism:
     def test_batch_validation(self):
         with pytest.raises(ValueError, match="batch"):
             CampaignConfig(batch=0)
-
-
-class TestPipelineParity:
-    def test_pipeline_digest_set_matches_conventional(self):
-        """Stream-checked hunts reach the identical verdicts/digests."""
-        baseline = _digests(run_campaign(CPUS, SMALL, workers=1))
-        piped = dataclasses.replace(SMALL, pipeline=True)
-        assert _digests(run_campaign(CPUS, piped, workers=1)) == baseline
-
-    def test_pipeline_composes_with_batching(self):
-        baseline = _digests(run_campaign(CPUS, SMALL, workers=1))
-        both = dataclasses.replace(SMALL, batch=4, pipeline=True)
-        assert _digests(run_campaign(CPUS, both, workers=1)) == baseline
-
-    def test_pipeline_skipped_when_program_exceeds_window(self):
-        """Programs too long for the streaming window fall back to the
-        conventional path (still digest-identical by construction)."""
-        big = dataclasses.replace(
-            SMALL,
-            generator=GeneratorConfig(
-                nprocs=4, ops_per_proc=600, shared_words=4
-            ),
-            tests_per_bug=1,
-            pipeline=True,
-        )
-        from repro.analysis.campaign import _pipeline_applies
-
-        spec = CPUS[0].bugs[0]
-        assert not _pipeline_applies(spec, big)
-        assert _pipeline_applies(spec, dataclasses.replace(SMALL, pipeline=True))
 
 
 class TestHungChunks:

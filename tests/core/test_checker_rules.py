@@ -7,7 +7,8 @@ outcome where the rule's edge is the difference between pass and fail.
 import pytest
 
 from repro.core.api import check_litmus
-from repro.core.checker import BaselineChecker, observed_edges, po_prev_stores
+from repro.core.checker import BaselineChecker
+from repro.core.engine import observed_edges, po_prev_stores
 from repro.core.closure import ClosureChecker
 from repro.core.result import ViolationKind
 from tests.util import litmus_aprog

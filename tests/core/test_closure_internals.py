@@ -92,7 +92,7 @@ class TestGraphDump:
         assert len(edge_lines) == result.stats.edges
 
     def test_all_engines_attach_graphs(self):
-        for engine in ("closure", "baseline", "matrix", "vc"):
+        for engine in ("closure", "baseline", "stream", "vc", "vck"):
             result = check_litmus("P0: S[A]#1 ; L[A]=1", engine=engine)
             assert result.graph is not None
             assert "node" in result.dump_graph()

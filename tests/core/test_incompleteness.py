@@ -11,7 +11,8 @@ enforces the Order axiom.  These tests pin down both halves:
 
 import pytest
 
-from repro.core.checker import BaselineChecker, observed_edges
+from repro.core.checker import BaselineChecker
+from repro.core.engine import observed_edges
 from repro.core.closure import ClosureChecker, compute_closure, topological_order
 from repro.core.complete import complete_check
 from repro.core.graph import ConstraintGraph
@@ -29,13 +30,8 @@ def _fixed_point_graph(aprog):
     from repro.core.result import CheckStats
 
     checker = BaselineChecker(TSO)
-    graph = ConstraintGraph(aprog)
-    for u, v, rule in static_edges(aprog, TSO):
-        graph.add_edge(u, v, EdgeReason(rule))
-    for u, v, reason, _rule in observed_edges(aprog):
-        graph.add_edge(u, v, reason)
-    assert checker._fixed_point(aprog, graph, CheckStats(nodes=aprog.n)) is None
-    return graph
+    assert checker._analyze(aprog, CheckStats(nodes=aprog.n)) is None
+    return checker._graph
 
 
 class TestFig5Base:

@@ -8,11 +8,9 @@ scalar loops for array calls without changing a single verdict.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from repro.core.closure import compute_closure
 from repro.core.kernels import (
     HAVE_NUMPY,
     AddrSpanIndex,
@@ -20,8 +18,6 @@ from repro.core.kernels import (
     build_frontiers_scalar,
     concat_ranges,
     concat_ranges_scalar,
-    packed_bit,
-    packed_closure,
     r6_spans,
     r6_spans_scalar,
     r7_spans,
@@ -240,18 +236,3 @@ def test_suppression_mask_matches_scalar(seed):
         np.asarray(limits, dtype=np.int64),
     )
     assert got.tolist() == suppression_mask_scalar(from_rows, nodes, chains, limits)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_packed_closure_matches_python_int_bitsets(seed):
-    rng = random.Random(seed)
-    n = rng.randrange(2, 90)  # straddles the 64-bit word boundary
-    pred, succ = _random_dag(rng, n)
-    order = list(range(n))
-    graph = SimpleNamespace(n=n, pred=pred, succ=succ)
-    want_from, want_to = compute_closure(graph, order)
-    reach_from, reach_to = packed_closure(n, order, succ, pred)
-    for u in range(n):
-        for v in range(n):
-            assert packed_bit(reach_from, u, v) == bool(want_from[u] >> v & 1)
-            assert packed_bit(reach_to, u, v) == bool(want_to[u] >> v & 1)

@@ -13,7 +13,7 @@ from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
 from repro.core.graph import ConstraintGraph
 from repro.core.policy import TSO, static_edges
-from repro.core.checker import observed_edges
+from repro.core.engine import observed_edges
 from repro.core.result import EdgeReason, ViolationKind
 from repro.generator.litmus import litmus_by_name
 from tests.util import describe_map, litmus_aprog

@@ -20,7 +20,8 @@ from repro.core.closure import compute_closure, topological_order
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.policy import PSO, SC, TSO, static_edges
 from repro.core.result import CheckStats, EdgeReason
-from repro.core.vc import VectorClockChecker, _Chains
+from repro.core.prep import Chains
+from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.model.expansion import expand
@@ -48,7 +49,7 @@ def _prepared(text, model=TSO):
         graph.add_edge(u, v, EdgeReason(rule, "program order"))
     order = topological_order(graph)
     assert order is not None
-    checker._chains = _Chains(aprog, model)
+    checker._chains = Chains(aprog, model)
     checker._init_state(graph, order)
     return aprog, checker, graph
 
@@ -75,7 +76,7 @@ class TestChains:
     @pytest.mark.parametrize("model", [TSO, SC, PSO], ids=lambda m: m.name)
     def test_partition_and_path_property(self, model):
         aprog = litmus_aprog(MIXED)
-        chains = _Chains(aprog, model)
+        chains = Chains(aprog, model)
         # Exactly one (chain, position) per node, positions consecutive.
         seen = set()
         for chain, members in enumerate(chains.nodes):
@@ -96,7 +97,7 @@ class TestChains:
 
     def test_addr_store_index_is_complete_and_sorted(self):
         aprog = litmus_aprog(MIXED)
-        chains = _Chains(aprog, TSO)
+        chains = Chains(aprog, TSO)
         indexed = set()
         for addr, slices in chains.addr_stores.items():
             for chain, positions in slices:
@@ -110,13 +111,13 @@ class TestChains:
 
     def test_sc_merges_each_processor_into_one_chain(self):
         aprog = litmus_aprog("P0: S[A]#1 ; L[A]=1 ; S[B]#2\nP1: L[B]=2")
-        chains = _Chains(aprog, SC)
+        chains = Chains(aprog, SC)
         for stream in aprog.per_proc:
             assert len({chains.chain_of[node] for node in stream}) == 1
 
     def test_tso_splits_loads_and_stores(self):
         aprog = litmus_aprog("P0: S[A]#1 ; L[A]=1 ; S[B]#2 ; L[B]=2")
-        chains = _Chains(aprog, TSO)
+        chains = Chains(aprog, TSO)
         ops = aprog.ops
         for stream in aprog.per_proc:
             loads = {chains.chain_of[n] for n in stream if ops[n].is_load}

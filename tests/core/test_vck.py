@@ -53,10 +53,8 @@ def test_vck_edge_sets_closure_equivalent_to_vc():
     # its between-refresh frontier staleness admits some vc suppresses —
     # but every difference is an implied (true) edge, so the transitive
     # closures must be identical.
-    import numpy as np
-
     from repro.core.api import check
-    from repro.core.kernels import packed_closure
+    from repro.core.closure import compute_closure, topological_order
     from repro.generator.config import GeneratorConfig
     from repro.generator.generator import generate_program
     from repro.sim.machine import TsoMachine
@@ -73,23 +71,7 @@ def test_vck_edge_sets_closure_equivalent_to_vc():
         closures = []
         for result in (vck, vc):
             graph = result.graph
-            order = _topo_order(graph)
-            closures.append(
-                packed_closure(graph.n, order, graph.succ, graph.pred)[0]
-            )
-        assert np.array_equal(closures[0], closures[1])
-
-
-def _topo_order(graph):
-    indeg = [len(graph.pred[v]) for v in range(graph.n)]
-    ready = [v for v in range(graph.n) if indeg[v] == 0]
-    order = []
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for child in graph.succ[node]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(child)
-    assert len(order) == graph.n
-    return order
+            order = topological_order(graph)
+            assert order is not None
+            closures.append(compute_closure(graph, order)[0])
+        assert closures[0] == closures[1]

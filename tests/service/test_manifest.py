@@ -122,3 +122,14 @@ class TestSerialization:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             CampaignManifest.from_dict({"version": 99, "name": "x"})
+
+    def test_legacy_pipeline_key_accepted_with_same_job_id(self):
+        # Older versions wrote a "pipeline" execution knob; such
+        # documents must still load and attach to the same job.
+        doc = small().to_dict()
+        legacy = dict(doc, pipeline=True)
+        assert CampaignManifest.from_dict(legacy) == CampaignManifest.from_dict(doc)
+        assert (CampaignManifest.from_dict(legacy).job_id
+                == CampaignManifest.from_dict(doc).job_id)
+        # Pinned: the id this manifest has had since job ids were defined.
+        assert small().job_id == "t-88737a732ad1"

@@ -49,14 +49,14 @@ class TestInstrumentedLayers:
             GeneratorConfig(nprocs=2, ops_per_proc=20), seed=5
         )
         execution = TsoMachine(program, seed=5).run()
-        for engine in ("baseline", "closure", "matrix", "vc"):
+        for engine in ("baseline", "closure", "stream", "vc"):
             check(program, execution, engine=engine)
         counters = telemetry.get_telemetry().snapshot()["counters"]
-        for engine in ("baseline", "closure", "matrix", "vc"):
+        for engine in ("baseline", "closure", "stream", "vc"):
             assert counters[f"check.engine.{engine}"] == 1
         assert counters["check.runs"] == 4
         assert counters["check.traversals"] > 0      # baseline
-        assert counters["check.closure_rebuilds"] > 0  # closure + matrix
+        assert counters["check.closure_rebuilds"] > 0  # closure
         assert counters["check.vc_queries"] > 0        # vc
 
     def test_disabled_pipeline_records_nothing(self):
