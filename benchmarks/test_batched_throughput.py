@@ -1,13 +1,12 @@
 """Batched dispatch: campaign throughput at workers=4, batch=16 vs 1.
 
-The unbatched pool pays a fixed cost per *task*: pickling the (spec,
-config) tuple, two pipe messages, the parent's dispatch/collect
+At batch=1 the pool pays a fixed cost per *task*: pickling the hunt
+and its config, two pipe messages, the parent's dispatch/collect
 bookkeeping, and the worker's per-task telemetry flush.  With hunts
 this small the parent's serial per-task work is the throughput ceiling
 — four workers can finish hunts faster than one parent can feed them
 one at a time.  Batching 16 hunts per task divides that ceiling by 16
-and lets the hunts share warm state (one reset machine, reused checker
-buffers) on top.
+and lets the hunts share warm state (one reset machine) on top.
 
 Records hunts/s and ops/s for batch in {1, 4, 16} under
 ``benchmarks/results/batched_throughput.txt``.  The >= 3x acceptance
@@ -82,7 +81,7 @@ def test_batched_throughput(record):
     )
     if cores >= WORKERS:
         # With real parallelism the parent's per-task serial work is
-        # the unbatched ceiling; dividing it by 16 is worth >= 3x.
+        # the batch=1 ceiling; dividing it by 16 is worth >= 3x.
         assert speedup >= 3.0, (
             f"expected >= 3x at workers={WORKERS} on {cores} cores, "
             f"measured {speedup:.2f}x"

@@ -28,7 +28,6 @@ from repro import telemetry
 from repro.analysis.pool import ProgressFn, run_tasks
 from repro.analysis.replay import bug_spec_from_meta, hunt_trace_meta
 from repro.core.api import DEFAULT_ENGINE, check
-from repro.core.context import CheckContext
 from repro.core.policy import TSO, MemoryModel
 from repro.core.result import PoolStats
 from repro.generator.config import GeneratorConfig, InstructionMix
@@ -63,11 +62,10 @@ class CampaignConfig:
         batch: hunts dispatched per pool task (``>= 1``).  Batching
             amortizes the per-task fixed costs — task pickling and pipe
             round-trips, worker telemetry flushes — and lets the hunts
-            of a batch share warm state (a reset :class:`TsoMachine`,
-            reused checker buffers) via :class:`HuntScratch`.  Every
-            hunt's seed stream is derived from (campaign seed, cpu, bug
-            index) alone, so results are hunt-for-hunt identical for
-            any batch size.
+            of a batch share one reset :class:`TsoMachine` via
+            :class:`HuntScratch`.  Every hunt's seed stream is derived
+            from (campaign seed, cpu, bug index) alone, so results are
+            hunt-for-hunt identical for any batch size.
     """
 
     tests_per_bug: int = 10
@@ -201,11 +199,6 @@ class CampaignResult:
     #: of the campaign that produced these hunts.
     sched: str = "random"
 
-    @property
-    def seconds(self) -> float:
-        """Deprecated alias for :attr:`wall_seconds` (pre-pool callers)."""
-        return self.wall_seconds
-
     def by_cpu(self) -> Dict[str, List[BugHunt]]:
         """Hunts grouped by CPU name."""
         grouped: Dict[str, List[BugHunt]] = {}
@@ -312,16 +305,14 @@ class CampaignResult:
 class HuntScratch:
     """Reusable per-worker state shared by the hunts of a batch.
 
-    Holds one :class:`TsoMachine` slot (reset between attempts instead
-    of re-constructed) and one :class:`~repro.core.context.CheckContext`
-    (checker frontier buffers wiped, not re-allocated).  Single-process
-    scratch: a scratch never crosses a pool-task boundary, so batched
-    and unbatched campaigns stay hunt-for-hunt identical.
+    Holds one :class:`TsoMachine` slot, reset between attempts instead
+    of re-constructed.  Single-process scratch: a scratch never crosses
+    a pool-task boundary, so campaigns stay hunt-for-hunt identical for
+    any batch size.
     """
 
     def __init__(self) -> None:
         self.machine: Optional[TsoMachine] = None
-        self.context = CheckContext()
 
     def arm_machine(
         self, program, seed: int, machine_config: MachineConfig,
@@ -354,7 +345,8 @@ def hunt_bug(
     time); the seed stream is derived from the campaign seed, the CPU
     name and the bug index so campaigns are exactly reproducible —
     independent of batching, workers and ``scratch`` reuse, all of which
-    only change *how* the identical runs execute.
+    only change *how* the identical runs execute.  Without a ``scratch``
+    the hunt makes its own.
     """
     # zlib.crc32 rather than hash(): str hashing is randomized per
     # process, which would make campaigns unreproducible across runs.
@@ -363,7 +355,7 @@ def hunt_bug(
         + (zlib.crc32(cpu_name.encode()) % 1_000_003) * 101
         + bug_index * 7_919
     )
-    context = scratch.context if scratch is not None else None
+    scratch = scratch or HuntScratch()
     ops = 0
     with telemetry.span("hunt", bug=spec.name, cpu=cpu_name):
         for attempt in range(config.tests_per_bug):
@@ -371,20 +363,13 @@ def hunt_bug(
             program = generate_program(config.generator, seed=seed)
             fault = spec.instantiate()
             policy = make_policy(config.sched, seed=seed)
-            if scratch is None:
-                machine = TsoMachine(
-                    program, seed=seed, config=config.machine,
-                    faults=[fault], policy=policy,
-                )
-            else:
-                machine = scratch.arm_machine(
-                    program, seed, config.machine, [fault], policy
-                )
+            machine = scratch.arm_machine(
+                program, seed, config.machine, [fault], policy
+            )
             observed = machine.run()
             ops += sum(len(cpu.records) for cpu in machine.cpus)
             detected, via = _triage(
-                spec, program, machine, observed, config.model,
-                config.engine, context=context,
+                spec, program, machine, observed, config.model, config.engine
             )
             if detected:
                 return BugHunt(
@@ -408,11 +393,12 @@ def hunt_batch(
 ) -> List[BugHunt]:
     """Hunt several seeded bugs in one call, sharing warm state.
 
-    The batched-dispatch unit: a pool task carrying B independent
-    ``(spec, cpu name, bug index)`` hunts pays one task round-trip and
-    one worker telemetry flush for all of them, and the hunts share one
-    :class:`HuntScratch` (machine resets + checker-buffer reuse).  Each
-    hunt's outcome is identical to :func:`hunt_bug` run alone.
+    The dispatch unit: a pool task carrying B independent
+    ``(spec, cpu name, bug index)`` hunts (B = 1 by default) pays one
+    task round-trip and one worker telemetry flush for all of them, and
+    the hunts share one :class:`HuntScratch` (machine resets instead of
+    constructions).  Each hunt's outcome is identical to
+    :func:`hunt_bug` run alone.
     """
     scratch = scratch or HuntScratch()
     telemetry.record("pool.batch_size", len(hunts))
@@ -453,45 +439,86 @@ def _triage(
     observed,
     model: MemoryModel,
     engine: str = DEFAULT_ENGINE,
-    context: Optional[CheckContext] = None,
 ) -> Tuple[bool, str]:
     """Classify one run's outcome against the hunted bug's class."""
     if spec.bug_class == BugClass.MONITOR:
         if machine.monitor_alarms and check(
-            program, observed, model=model, engine=engine, context=context
+            program, observed, model=model, engine=engine
         ).ok:
             return True, "spurious monitor alarm on a TSO-clean run"
         return False, ""
     if spec.bug_class == BugClass.ENVIRONMENT:
-        if not check(
-            program, observed, model=model, engine=engine, context=context
-        ).ok:
+        if not check(program, observed, model=model, engine=engine).ok:
             true_result = check(
-                program, machine.true_execution, model=model, engine=engine,
-                context=context,
+                program, machine.true_execution, model=model, engine=engine
             )
             if true_result.ok:
                 return True, "observed trace fails analysis, true trace passes"
         return False, ""
     # Architecture / design: the machine itself misbehaved.
-    result = check(program, observed, model=model, engine=engine, context=context)
+    result = check(program, observed, model=model, engine=engine)
     if not result.ok:
         return True, f"TSO violation ({result.violation.kind.value})"
     return False, ""
 
 
-def _hunt_task(task: Tuple[BugSpec, str, CampaignConfig, int]) -> BugHunt:
-    """Picklable pool entry point: hunt one seeded bug in a worker."""
-    spec, cpu_name, config, bug_index = task
-    return hunt_bug(spec, cpu_name, config, bug_index=bug_index)
+#: One pool task: a chunk of ``(spec, cpu name, bug index)`` hunts and
+#: the :class:`CampaignConfig` they all run under.
+HuntTask = Tuple[List[Tuple[BugSpec, str, int]], CampaignConfig]
 
 
-def _hunt_batch_task(
-    task: Tuple[Sequence[Tuple[BugSpec, str, int]], CampaignConfig],
-) -> List[BugHunt]:
-    """Picklable pool entry point: hunt a batch of seeded bugs in a worker."""
+def _hunt_batch_task(task: HuntTask) -> List[BugHunt]:
+    """Picklable pool entry point: hunt a chunk of seeded bugs in a worker."""
     hunts, config = task
     return hunt_batch(hunts, config)
+
+
+class HuntChunks:
+    """The pool tasks of a dispatch: hunts chunked, labelled, resolved.
+
+    The one way campaigns and the campaign service turn hunts into pool
+    work.  :meth:`add` groups hunts into tasks of up to ``batch`` each
+    (``batch=1`` makes one-hunt chunks) with their progress labels —
+    ``<prefix><bug>`` for the first hunt, plus `` (+k)`` for the k
+    more a chunk carries; :meth:`hunts` turns a task's pool result into
+    its hunts, tombstoning every member of a chunk whose worker crashed
+    or timed out, so batching never silently drops work.
+    """
+
+    def __init__(self) -> None:
+        self.tasks: List[HuntTask] = []
+        self.labels: List[str] = []
+
+    def add(
+        self,
+        work: Sequence[Tuple[BugSpec, str, int]],
+        config: CampaignConfig,
+        batch: int,
+        prefix: str = "",
+    ) -> int:
+        """Append ``work`` as chunks of up to ``batch`` hunts that share
+        ``config``; return how many tasks were added."""
+        before = len(self.tasks)
+        for start in range(0, len(work), batch):
+            chunk = list(work[start : start + batch])
+            self.tasks.append((chunk, config))
+            extra = f" (+{len(chunk) - 1})" if len(chunk) > 1 else ""
+            self.labels.append(f"{prefix}{chunk[0][0].name}{extra}")
+        return len(self.tasks) - before
+
+    def hunts(
+        self, task_index: int, result: Optional[List[BugHunt]]
+    ) -> List[BugHunt]:
+        """The task's hunts: its result, or one hung tombstone per member."""
+        if result is not None:
+            return result
+        return [
+            BugHunt(
+                spec=spec, cpu=cpu_name, detected=False, tests_run=0,
+                via="worker crashed or timed out", hung=True,
+            )
+            for spec, cpu_name, _ in self.tasks[task_index][0]
+        ]
 
 
 def run_campaign(
@@ -509,13 +536,14 @@ def run_campaign(
     from ``(campaign seed, cpu name, bug index)`` inside
     :func:`hunt_bug`, independent of scheduling, so the hunts are
     hunt-for-hunt identical to the sequential path for the same master
-    seed.  A hunt whose worker crashes or exceeds ``task_timeout`` twice
-    is recorded with ``hung=True`` (and counts as undetected).
+    seed.
 
-    With ``config.batch > 1`` hunts are grouped so each pool task
-    carries a whole batch (see :func:`hunt_batch`); a hung batch task
-    tombstones every member hunt.  Note ``task_timeout`` then covers a
-    batch, not a single hunt — scale it with the batch size.
+    Each pool task carries a chunk of ``config.batch`` hunts (one by
+    default; see :func:`hunt_batch` and :class:`HuntChunks`).  A chunk
+    whose worker crashes or exceeds ``task_timeout`` twice tombstones
+    every member hunt with ``hung=True`` (counted as undetected).  Note
+    ``task_timeout`` covers a whole chunk, not a single hunt — scale it
+    with the batch size.
 
     With ``record_dir`` set, every detected hunt's
     :class:`~repro.sched.trace.ScheduleTrace` is persisted there as
@@ -523,62 +551,29 @@ def run_campaign(
     ``tsotool replay`` / :func:`repro.analysis.replay.replay_hunt`.
     """
     config = config or CampaignConfig()
-    work: List[Tuple[BugSpec, str, int]] = []
-    for cpu in cpus:
-        for index, spec in enumerate(cpu.bugs):
-            work.append((spec, cpu.name, index))
-    hunts: List[BugHunt] = []
-    if config.batch > 1:
-        # Batched dispatch: B hunts ride one pool task (one round-trip,
-        # one worker telemetry flush, shared HuntScratch).  Chunking is
-        # pure grouping — each hunt's seeds come from (seed, cpu, bug
-        # index), so the hunt set matches the unbatched path exactly.
-        chunks = [
-            work[i : i + config.batch]
-            for i in range(0, len(work), config.batch)
-        ]
-        results, stats = run_tasks(
-            _hunt_batch_task,
-            [(chunk, config) for chunk in chunks],
-            workers=workers,
-            task_timeout=task_timeout,
-            labels=[
-                chunk[0][0].name
-                + (f" (+{len(chunk) - 1})" if len(chunk) > 1 else "")
-                for chunk in chunks
-            ],
-            progress=progress,
-        )
-        for chunk, batch in zip(chunks, results):
-            if batch is None:
-                # The whole chunk's worker crashed or timed out: every
-                # member hunt gets a tombstone, never a silent drop.
-                batch = [
-                    BugHunt(
-                        spec=spec, cpu=cpu_name, detected=False, tests_run=0,
-                        via="worker crashed or timed out", hung=True,
-                    )
-                    for spec, cpu_name, _ in chunk
-                ]
-            hunts.extend(batch)
-    else:
-        tasks = [(spec, cpu_name, config, index) for spec, cpu_name, index in work]
-        results, stats = run_tasks(
-            _hunt_task,
-            tasks,
-            workers=workers,
-            task_timeout=task_timeout,
-            labels=[spec.name for spec, _, _ in work],
-            progress=progress,
-        )
-        for task, hunt in zip(tasks, results):
-            if hunt is None:
-                spec, cpu_name, _, _ = task
-                hunt = BugHunt(
-                    spec=spec, cpu=cpu_name, detected=False, tests_run=0,
-                    via="worker crashed or timed out", hung=True,
-                )
-            hunts.append(hunt)
+    chunks = HuntChunks()
+    chunks.add(
+        [
+            (spec, cpu.name, index)
+            for cpu in cpus
+            for index, spec in enumerate(cpu.bugs)
+        ],
+        config,
+        config.batch,
+    )
+    results, stats = run_tasks(
+        _hunt_batch_task,
+        chunks.tasks,
+        workers=workers,
+        task_timeout=task_timeout,
+        labels=chunks.labels,
+        progress=progress,
+    )
+    hunts = [
+        hunt
+        for task_index, result in enumerate(results)
+        for hunt in chunks.hunts(task_index, result)
+    ]
     if record_dir is not None:
         os.makedirs(record_dir, exist_ok=True)
         for hunt in hunts:

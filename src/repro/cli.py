@@ -714,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1,
                    help="hunts dispatched per pool task (default: 1); "
                         "batching amortizes task round-trips and reuses "
-                        "warm machine/checker state — results are "
+                        "a warm machine — results are "
                         "identical for any value (docs/performance.md). "
                         "Note --task-timeout then covers a whole batch")
     _add_telemetry_args(p)

@@ -29,7 +29,6 @@ from typing import Dict, Optional
 from repro import telemetry
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
-from repro.core.context import CheckContext
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult
 from repro.core.stream import StreamingChecker
@@ -55,25 +54,13 @@ ENGINES = {
 DEFAULT_ENGINE = "vc"
 
 
-def make_checker(
-    model: MemoryModel = TSO,
-    engine: str = DEFAULT_ENGINE,
-    context: Optional["CheckContext"] = None,
-):
-    """Instantiate a checker engine by name (see :data:`ENGINES`).
-
-    ``context`` is an optional :class:`~repro.core.context.CheckContext`
-    whose scratch buffers the engine reuses across runs (the batched
-    campaign path).  Every engine takes it through the shared
-    :class:`~repro.core.engine.Checker` base; engines without reusable
-    state ignore it, so one reuse-parity suite can run every engine
-    against the same context.
-    """
+def make_checker(model: MemoryModel = TSO, engine: str = DEFAULT_ENGINE):
+    """Instantiate a checker engine by name (see :data:`ENGINES`)."""
     try:
         cls = ENGINES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)}")
-    return cls(model, context=context)
+    return cls(model)
 
 
 def check_execution(
@@ -82,7 +69,6 @@ def check_execution(
     word_names: Optional[Dict[int, str]] = None,
     model: MemoryModel = TSO,
     engine: str = DEFAULT_ENGINE,
-    context: Optional["CheckContext"] = None,
 ) -> CheckResult:
     """Check a raw execution trace against a memory model.
 
@@ -94,7 +80,7 @@ def check_execution(
     with telemetry.span("expand"):
         aprog = expand(execution, initial=initial, word_names=word_names)
     with telemetry.span("check", engine=engine, model=model.name):
-        return make_checker(model, engine, context=context).run(aprog)
+        return make_checker(model, engine).run(aprog)
 
 
 def check(
@@ -102,7 +88,6 @@ def check(
     execution: Execution,
     model: MemoryModel = TSO,
     engine: str = DEFAULT_ENGINE,
-    context: Optional["CheckContext"] = None,
 ) -> CheckResult:
     """Check a program's observed execution against a memory model."""
     return check_execution(
@@ -111,7 +96,6 @@ def check(
         word_names=program.word_names,
         model=model,
         engine=engine,
-        context=context,
     )
 
 

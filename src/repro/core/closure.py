@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.context import CheckContext
 from repro.core.engine import Checker, cycle_violation
 from repro.core.graph import ConstraintGraph, topological_order
 from repro.core.policy import MemoryModel, TSO
@@ -70,7 +69,6 @@ class ClosureChecker(Checker):
         self,
         model: MemoryModel = TSO,
         inferred_rules: bool = True,
-        context: Optional[CheckContext] = None,
     ) -> None:
         """Args:
             model: memory-model ordering policy.
@@ -78,9 +76,8 @@ class ClosureChecker(Checker):
                 (the DESIGN.md rule ablation) leaves only static + observed
                 edges — faster, but blind to most cross-processor
                 violations; measured in ``benchmarks/test_ablation_rules.py``.
-            context: see :class:`repro.core.engine.Checker`.
         """
-        super().__init__(model, context=context)
+        super().__init__(model)
         self.inferred_rules = inferred_rules
 
     def _fixed_point(

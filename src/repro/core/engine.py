@@ -28,7 +28,6 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import telemetry
-from repro.core.context import CheckContext
 from repro.core.graph import ConstraintGraph, CycleDetected, topological_order
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.result import (
@@ -141,22 +140,11 @@ class Checker:
 
     name = "engine"
 
-    def __init__(
-        self,
-        model: MemoryModel = TSO,
-        context: Optional[CheckContext] = None,
-    ) -> None:
+    def __init__(self, model: MemoryModel = TSO) -> None:
         """Args:
             model: memory-model ordering policy.
-            context: optional :class:`~repro.core.context.CheckContext`
-                whose scratch buffers are reused across runs — the
-                batched-campaign state-reuse path.  Engines without
-                reusable state ignore it; ``None`` allocates per run.
         """
         self.model = model
-        self.context = context
-        if context is not None:
-            context.checks += 1
 
     def run(self, aprog: AnalysisProgram) -> CheckResult:
         """Check one analysis program; return the verdict with a witness."""
@@ -167,7 +155,19 @@ class Checker:
         violation = precheck_violation(aprog)
         if violation is None:
             violation = self._analyze(aprog, stats)
+        return self.conclude(aprog, stats, start, violation, self._graph)
 
+    def conclude(
+        self,
+        aprog: AnalysisProgram,
+        stats: CheckStats,
+        start: float,
+        violation: Optional[Violation],
+        graph: Optional[ConstraintGraph],
+    ) -> CheckResult:
+        """The epilogue of every check: stop the clock (``start`` is a
+        ``time.perf_counter()`` reading), record telemetry, build the
+        :class:`CheckResult`."""
         stats.seconds = time.perf_counter() - start
         telemetry.record_check(stats, self.name)
         return CheckResult(
@@ -177,7 +177,7 @@ class Checker:
             violation=violation,
             stats=stats,
             aprog=aprog,
-            graph=self._graph,
+            graph=graph,
         )
 
     def _initial_edges(

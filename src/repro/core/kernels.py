@@ -12,8 +12,8 @@ array operations per *address* per fixed-point round:
 * :func:`build_frontiers` — both frontier matrices as row-major
   ``(n, k)`` int64 arrays via the initial closure DP: the frontier
   merge is ``np.maximum``/``np.minimum`` over parent/child chain rows,
-  one row per node in topological order (scalar reference:
-  :func:`build_frontiers_scalar`).
+  one row per node in topological order (scalar reference: the vc
+  engine's own DP, :func:`repro.core.vc.frontier_vectors`).
 * :func:`refresh_forward`/:func:`refresh_backward` — delta closure
   propagation: after a round of edge inserts, re-close the frontier
   matrices by re-merging only the rows downstream of a change, in
@@ -35,10 +35,11 @@ array operations per *address* per fixed-point round:
   the backward-frontier view.
 
 numpy is an *optional* extra (``pip install repro[fast]``).  Every
-kernel has a scalar reference implementation used both by the
-randomized kernel unit tests and as the automatic fallback path — the
-vck engine degrades to the shared scalar code rather than failing to
-import (see ``docs/performance.md``).
+kernel has a scalar reference implementation that the randomized kernel
+unit tests compare it against.  The references are not a fallback:
+without numpy the vck engine degrades to the vc engine's inherited
+scalar methods rather than failing to import (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ def build_frontiers(
     succ: Sequence[Sequence[int]],
     chain_of: Sequence[int],
     pos_of: Sequence[int],
-    out=None,
 ):
     """One-pass closure DP producing both frontier matrices.
 
@@ -78,21 +78,10 @@ def build_frontiers(
     (``n + 1``: none); both include ``v`` itself.  This is the frontier
     merge kernel — ``np.maximum``/``np.minimum`` over the already-final
     parent/child chain rows, nodes visited in topological order
-    (scalar reference: :func:`build_frontiers_scalar`).
-
-    ``out``, when given, is a pre-allocated ``(m_to, m_from)`` pair of
-    ``(n, k)`` int64 arrays to fill in place instead of allocating —
-    the wipe is a constant-fill, so a checker context can hand the same
-    buffers to every seed of a batch (see :mod:`repro.core.context`).
+    (scalar reference: :func:`repro.core.vc.frontier_vectors`).
     """
-    inf = n + 1
-    if out is not None:
-        m_to, m_from = out
-        m_to.fill(-1)
-        m_from.fill(inf)
-    else:
-        m_to = np.full((n, k), -1, dtype=np.int64)
-        m_from = np.full((n, k), inf, dtype=np.int64)
+    m_to = np.full((n, k), -1, dtype=np.int64)
+    m_from = np.full((n, k), n + 1, dtype=np.int64)
     for node in order:
         parents = pred[node]
         row = m_to[node]
@@ -114,45 +103,6 @@ def build_frontiers(
         if pos_of[node] < row[chain]:
             row[chain] = pos_of[node]
     return m_to, m_from
-
-
-def build_frontiers_scalar(
-    n: int,
-    k: int,
-    order: Sequence[int],
-    pred: Sequence[Sequence[int]],
-    succ: Sequence[Sequence[int]],
-    chain_of: Sequence[int],
-    pos_of: Sequence[int],
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Reference implementation of :func:`build_frontiers` (pure Python,
-    row-major lists)."""
-    inf = n + 1
-    rows_to: List[List[int]] = [None] * n  # type: ignore[list-item]
-    for node in order:
-        rows = [rows_to[parent] for parent in pred[node]]
-        if not rows:
-            vec = [-1] * k
-        elif len(rows) == 1:
-            vec = list(rows[0])
-        else:
-            vec = list(map(max, *rows))
-        if pos_of[node] > vec[chain_of[node]]:
-            vec[chain_of[node]] = pos_of[node]
-        rows_to[node] = vec
-    rows_from: List[List[int]] = [None] * n  # type: ignore[list-item]
-    for node in reversed(order):
-        rows = [rows_from[child] for child in succ[node]]
-        if not rows:
-            vec = [inf] * k
-        elif len(rows) == 1:
-            vec = list(rows[0])
-        else:
-            vec = list(map(min, *rows))
-        if pos_of[node] < vec[chain_of[node]]:
-            vec[chain_of[node]] = pos_of[node]
-        rows_from[node] = vec
-    return rows_to, rows_from
 
 
 def sweep_schedule(order, neighbors):

@@ -74,8 +74,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import telemetry
-from repro.core.context import CheckContext
 from repro.core.engine import Checker, cycle_violation, precheck_violation
 from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.policy import MemoryModel, TSO
@@ -818,21 +816,23 @@ class StreamSession:
 
     def __init__(
         self,
-        model: MemoryModel,
+        checker: "StreamingChecker",
         addresses: Sequence[int],
         initial: Optional[Dict[int, int]] = None,
         word_names: Optional[Dict[int, str]] = None,
         nprocs: int = 0,
         window: int = DEFAULT_WINDOW,
     ) -> None:
-        self.model = model
+        self._checker = checker
         self._start = time.perf_counter()
         self._expander = StreamExpander(
             addresses, initial=initial, word_names=word_names, nprocs=nprocs
         )
         self.aprog = self._expander.aprog
         self.stats = CheckStats()
-        self._state = _StreamState(self.aprog, model, self.stats, window=window)
+        self._state = _StreamState(
+            self.aprog, checker.model, self.stats, window=window
+        )
         self._rec_counts: Dict[int, int] = {}
         self.violation: Optional[Violation] = None
         self._finished: Optional[CheckResult] = None
@@ -863,16 +863,9 @@ class StreamSession:
             self._state.flush_unresolved()
             self.violation = precheck_violation(self.aprog)
         self.stats.nodes = self.aprog.n
-        self.stats.seconds = time.perf_counter() - self._start
-        telemetry.record_check(self.stats, StreamingChecker.name)
-        self._finished = CheckResult(
-            ok=self.violation is None,
-            model_name=self.model.name,
-            engine=StreamingChecker.name,
-            violation=self.violation,
-            stats=self.stats,
-            aprog=self.aprog,
-            graph=self._state.graph,
+        self._finished = self._checker.conclude(
+            self.aprog, self.stats, self._start, self.violation,
+            self._state.graph,
         )
         return self._finished
 
@@ -886,16 +879,14 @@ class StreamingChecker(Checker):
         self,
         model: MemoryModel = TSO,
         window: int = DEFAULT_WINDOW,
-        context: Optional[CheckContext] = None,
     ) -> None:
         """Args:
             model: memory-model ordering policy.
             window: frontier-retirement window in admitted analysis ops;
                 live checker state is O(window), verdicts are windowed
                 (see the module docstring).
-            context: see :class:`repro.core.engine.Checker`.
         """
-        super().__init__(model, context=context)
+        super().__init__(model)
         self.window = window
 
     def open_session(
@@ -909,7 +900,7 @@ class StreamingChecker(Checker):
         """Open a live session fed record-by-record (the true streaming
         path; :meth:`run` is the batch shim over the same core)."""
         return StreamSession(
-            self.model, addresses,
+            self, addresses,
             initial=initial, word_names=word_names, nprocs=nprocs,
             window=self.window if window is None else window,
         )

@@ -48,13 +48,62 @@ with the other engines is enforced by ``tests/test_properties.py``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import Checker
 from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.prep import Chains, EnginePrep, prepare
 from repro.core.result import CheckStats, EdgeReason, Violation
 from repro.model.expansion import AnalysisProgram
+
+
+def frontier_vectors(
+    n: int,
+    k: int,
+    order: Sequence[int],
+    pred: Sequence[Sequence[int]],
+    succ: Sequence[Sequence[int]],
+    chain_of: Sequence[int],
+    pos_of: Sequence[int],
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """One-pass closure DP producing both frontier vectors per node.
+
+    Returns ``(vec_to, vec_from)``: ``vec_to[v][c]`` is the highest
+    position in chain ``c`` whose member reaches ``v`` (-1: none),
+    ``vec_from[v][c]`` the lowest position reachable from ``v``
+    (``n + 1``: none); both include ``v`` itself, mirroring the closure
+    engine's reach bitsets.  Nodes are visited in topological ``order``
+    so every parent (child) row is final before it is merged.  This is
+    also the scalar reference of :func:`repro.core.kernels.build_frontiers`.
+    """
+    inf = n + 1
+    vec_to: List[List[int]] = [None] * n  # type: ignore[list-item]
+    for node in order:
+        rows = [vec_to[parent] for parent in pred[node]]
+        if not rows:
+            vec = [-1] * k
+        elif len(rows) == 1:
+            vec = list(rows[0])
+        else:
+            vec = list(map(max, *rows))
+        chain, pos = chain_of[node], pos_of[node]
+        if pos > vec[chain]:
+            vec[chain] = pos
+        vec_to[node] = vec
+    vec_from: List[List[int]] = [None] * n  # type: ignore[list-item]
+    for node in reversed(order):
+        rows = [vec_from[child] for child in succ[node]]
+        if not rows:
+            vec = [inf] * k
+        elif len(rows) == 1:
+            vec = list(rows[0])
+        else:
+            vec = list(map(min, *rows))
+        chain, pos = chain_of[node], pos_of[node]
+        if pos < vec[chain]:
+            vec[chain] = pos
+        vec_from[node] = vec
+    return vec_to, vec_from
 
 
 class VectorClockChecker(Checker):
@@ -81,49 +130,17 @@ class VectorClockChecker(Checker):
         return self._rounds(aprog, graph, stats, prepare(aprog))
 
     def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
-        """Build frontiers and the topological order in one DP pass.
-
-        ``vec_to[v][c]`` is the highest position in chain ``c`` whose
-        member reaches ``v`` (-1: none), ``vec_from[v][c]`` the lowest
-        position reachable from ``v`` (``inf_pos``: none); both include
-        ``v`` itself, mirroring the closure engine's reach bitsets.
-        """
+        """Index the topological order and build the frontier vectors
+        (:func:`frontier_vectors`)."""
         n = graph.n
-        k = self._chains.k
-        chain_of = self._chains.chain_of
-        pos_of = self._chains.pos_of
-        self._inf = inf = n + 1
+        self._inf = n + 1
         self._ord = [0] * n
         for index, node in enumerate(order):
             self._ord[node] = index
-        vec_to: List[List[int]] = [None] * n  # type: ignore[list-item]
-        for node in order:
-            rows = [vec_to[parent] for parent in graph.pred[node]]
-            if not rows:
-                vec = [-1] * k
-            elif len(rows) == 1:
-                vec = list(rows[0])
-            else:
-                vec = list(map(max, *rows))
-            chain, pos = chain_of[node], pos_of[node]
-            if pos > vec[chain]:
-                vec[chain] = pos
-            vec_to[node] = vec
-        vec_from: List[List[int]] = [None] * n  # type: ignore[list-item]
-        for node in reversed(order):
-            rows = [vec_from[child] for child in graph.succ[node]]
-            if not rows:
-                vec = [inf] * k
-            elif len(rows) == 1:
-                vec = list(rows[0])
-            else:
-                vec = list(map(min, *rows))
-            chain, pos = chain_of[node], pos_of[node]
-            if pos < vec[chain]:
-                vec[chain] = pos
-            vec_from[node] = vec
-        self._vec_to = vec_to
-        self._vec_from = vec_from
+        self._vec_to, self._vec_from = frontier_vectors(
+            n, self._chains.k, order, graph.pred, graph.succ,
+            self._chains.chain_of, self._chains.pos_of,
+        )
 
     # ------------------------------------------------------------------
     # Phase 2: the R6/R7 fixed point over live frontiers

@@ -84,13 +84,9 @@ class KernelVectorChecker(VectorClockChecker):
         self._ord = [0] * n
         for index, node in enumerate(order):
             self._ord[node] = index
-        out = (
-            self.context.frontier_pair(n, chains.k)
-            if self.context is not None else None
-        )
         self._m_to, self._m_from = kernels.build_frontiers(
             n, chains.k, order, graph.pred, graph.succ,
-            chains.chain_of, chains.pos_of, out=out,
+            chains.chain_of, chains.pos_of,
         )
         self._stats.kernel_batches += 1
         # Redirected endpoints of edges inserted since the last refresh

@@ -92,7 +92,7 @@ class CampaignManifest:
     generator: Optional[GeneratorConfig] = None
     #: Hunts dispatched per pool task (see ``CampaignConfig.batch``).
     #: An execution-strategy knob: serialized with the manifest but
-    #: excluded from its digest, so batched and unbatched submissions
+    #: excluded from its digest, so submissions at any batch size
     #: of the same campaign share one job id and one result store.
     batch: int = 1
 

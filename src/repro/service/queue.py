@@ -39,16 +39,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import telemetry
 from repro.analysis.campaign import (
     BugHunt,
-    CampaignConfig,
     CampaignResult,
+    HuntChunks,
     _hunt_batch_task,
-    _hunt_task,
 )
 from repro.analysis.pool import PoolStats, ProgressFn, run_tasks
 from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseManager
 from repro.service.manifest import CampaignManifest, Shard
 from repro.service.store import ResultStore
-from repro.sim.cpus import BugSpec, cpu_by_name
+from repro.sim.cpus import cpu_by_name
 
 
 def _merge_stats(
@@ -85,8 +84,8 @@ class JobRunner:
     the runner re-checks shards a live peer currently holds.  ``batch``
     overrides the manifest's hunts-per-pool-task granularity (see
     :attr:`CampaignManifest.batch`); chunks never span shards, so
-    claiming, completion markers and persisted records are unchanged —
-    a batched drain is digest-identical to an unbatched one.
+    claiming, completion markers and persisted records do not depend on
+    it — drains at any batch size are digest-identical.
     """
 
     def __init__(
@@ -229,98 +228,35 @@ class JobRunner:
         self, claimed: List[Tuple[Shard, List[int]]]
     ) -> Optional[PoolStats]:
         """One pool batch over the claimed shards, persisting as hunts
-        land and marking each shard done at its last hunt."""
-        if self.batch > 1:
-            return self._run_batch_chunked(claimed)
-        refs: List[Tuple[Shard, int]] = []
-        tasks: List[Tuple[BugSpec, str, CampaignConfig, int]] = []
-        labels: List[str] = []
+        land and marking each shard done at its last hunt.
+
+        Each pool task carries up to ``batch`` hunts of one shard
+        (chunks never span shards — every hunt in a chunk shares the
+        shard's :class:`CampaignConfig`, and shard completion stays a
+        per-shard countdown), so records and markers do not depend on
+        the batch size; only the task round-trip count does."""
+        chunks = HuntChunks()
+        task_shards: List[Shard] = []
         remaining: Dict[str, int] = {}
         for shard, todo in claimed:
             remaining[shard.shard_id] = len(todo)
-            config = self.manifest.campaign_config(shard.seed)
             bugs = cpu_by_name(shard.cpu).bugs
             for index in todo:
                 self._attempted.add((shard.shard_id, index))
-                refs.append((shard, index))
-                tasks.append((bugs[index], shard.cpu, config, index))
-                labels.append(f"{shard.shard_id[:8]}:{bugs[index].name}")
-        if not tasks:
-            return None
-
-        def persist(task_index: int, hunt: BugHunt) -> None:
-            shard, bug_index = refs[task_index]
-            self.store.record_hunt(
-                shard.shard_id, bug_index, hunt, owner=self.owner
+            added = chunks.add(
+                [(bugs[i], shard.cpu, i) for i in todo],
+                self.manifest.campaign_config(shard.seed),
+                self.batch,
+                prefix=f"{shard.shard_id[:8]}:",
             )
-            remaining[shard.shard_id] -= 1
-            if remaining[shard.shard_id] == 0:
-                self._finish_shard(shard.shard_id)
-
-        with telemetry.span(
-            "service.job", job=self.manifest.job_id, hunts=len(tasks)
-        ):
-            results, stats = run_tasks(
-                _hunt_task,
-                tasks,
-                workers=self.workers,
-                task_timeout=self.task_timeout,
-                labels=labels,
-                progress=self.progress,
-                on_result=persist,
-            )
-        # Hung hunts never reach on_result; record them as tombstones
-        # (campaign-compatible hung accounting) so the shard resolves —
-        # this session exits 2, the next resume retries them.
-        for task_index, value in enumerate(results):
-            if value is not None:
-                continue
-            shard, bug_index = refs[task_index]
-            spec = tasks[task_index][0]
-            persist(task_index, BugHunt(
-                spec=spec, cpu=shard.cpu, detected=False, tests_run=0,
-                via="worker crashed or timed out", hung=True,
-            ))
-        return stats
-
-    def _run_batch_chunked(
-        self, claimed: List[Tuple[Shard, List[int]]]
-    ) -> Optional[PoolStats]:
-        """The ``batch > 1`` dispatch path: each pool task carries up to
-        ``batch`` hunts of one shard (chunks never span shards — every
-        hunt in a chunk shares the shard's :class:`CampaignConfig`, and
-        shard completion stays a per-shard countdown).  Hunts, records
-        and markers match the unbatched path exactly; only the task
-        round-trip count changes."""
-        chunk_refs: List[List[Tuple[Shard, int]]] = []
-        tasks: List[
-            Tuple[List[Tuple[BugSpec, str, int]], CampaignConfig]
-        ] = []
-        labels: List[str] = []
-        remaining: Dict[str, int] = {}
-        for shard, todo in claimed:
-            remaining[shard.shard_id] = len(todo)
-            config = self.manifest.campaign_config(shard.seed)
-            bugs = cpu_by_name(shard.cpu).bugs
-            for start in range(0, len(todo), self.batch):
-                chunk = todo[start : start + self.batch]
-                for index in chunk:
-                    self._attempted.add((shard.shard_id, index))
-                chunk_refs.append([(shard, i) for i in chunk])
-                tasks.append(
-                    ([(bugs[i], shard.cpu, i) for i in chunk], config)
-                )
-                suffix = f" (+{len(chunk) - 1})" if len(chunk) > 1 else ""
-                labels.append(
-                    f"{shard.shard_id[:8]}:{bugs[chunk[0]].name}{suffix}"
-                )
-        if not tasks:
+            task_shards.extend([shard] * added)
+        if not chunks.tasks:
             return None
 
         def persist(task_index: int, hunts: List[BugHunt]) -> None:
-            for (shard, bug_index), hunt in zip(
-                chunk_refs[task_index], hunts
-            ):
+            shard = task_shards[task_index]
+            members = chunks.tasks[task_index][0]
+            for (_, _, bug_index), hunt in zip(members, hunts):
                 self.store.record_hunt(
                     shard.shard_id, bug_index, hunt, owner=self.owner
                 )
@@ -328,32 +264,25 @@ class JobRunner:
                 if remaining[shard.shard_id] == 0:
                     self._finish_shard(shard.shard_id)
 
-        total = sum(len(refs) for refs in chunk_refs)
+        total = sum(len(todo) for _, todo in claimed)
         with telemetry.span(
             "service.job", job=self.manifest.job_id, hunts=total
         ):
             results, stats = run_tasks(
                 _hunt_batch_task,
-                tasks,
+                chunks.tasks,
                 workers=self.workers,
                 task_timeout=self.task_timeout,
-                labels=labels,
+                labels=chunks.labels,
                 progress=self.progress,
                 on_result=persist,
             )
-        # A hung chunk tombstones every member hunt — same accounting
-        # as the unbatched path, applied chunk-wide.
+        # Hung chunks never reach on_result; record their tombstones
+        # (campaign-compatible hung accounting) so the shard resolves —
+        # this session exits 2, the next resume retries them.
         for task_index, value in enumerate(results):
-            if value is not None:
-                continue
-            specs = tasks[task_index][0]
-            persist(task_index, [
-                BugHunt(
-                    spec=spec, cpu=cpu_name, detected=False, tests_run=0,
-                    via="worker crashed or timed out", hung=True,
-                )
-                for spec, cpu_name, _ in specs
-            ])
+            if value is None:
+                persist(task_index, chunks.hunts(task_index, None))
         return stats
 
     # -- merging -------------------------------------------------------

@@ -1,11 +1,11 @@
 """Batched dispatch: determinism regressions.
 
-The contract under test is the tentpole invariant of the batching work:
-``batch`` and ``workers`` change *how* a campaign's hunts execute — task
+The contract under test is the invariant of batched dispatch: ``batch``
+and ``workers`` change *how* a campaign's hunts execute — task
 granularity and process fan-out — never *which* hunts run or what they
-record.  Hunt-digest-set equality
-(the store's resume witness, schedule and ops excluded) is the
-observable.
+record.  Hunt-digest equality (the store's resume witness, schedule and
+ops excluded) is the observable, pinned to golden values so that a
+change to the one dispatch path cannot move every cell at once.
 """
 
 import dataclasses
@@ -22,7 +22,9 @@ from repro.analysis.campaign import (
     run_campaign,
 )
 from repro.generator.config import GeneratorConfig
-from repro.service.store import hunt_digest
+from repro.service.manifest import CampaignManifest
+from repro.service.queue import JobRunner
+from repro.service.store import ResultStore, hunt_digest
 from repro.sim.cpus import CPU_CONFIGS
 from repro.telemetry import MemorySink
 
@@ -34,6 +36,16 @@ SMALL = CampaignConfig(
     generator=GeneratorConfig(nprocs=2, ops_per_proc=30, shared_words=4),
 )
 CPUS = CPU_CONFIGS[:1]
+
+#: The ordered hunt digests of ``run_campaign(CPU_CONFIGS[:2], SMALL)``
+#: (CPU1's three seeded bugs, then CPU2's seven).  Every batch size,
+#: worker count and service drain must reproduce them exactly.
+GOLDEN_DIGESTS = [
+    "dcfeb211acf4f838", "4e010c8efefbec92", "24d472c949c55797",
+    "e41a48b1baafc58b", "ffba0136c610c052", "bcab1e242bb78c18",
+    "cf388274b090b70f", "c2eb2d1b280a4a05", "552ee947ff8d32bd",
+    "509c58656a5e920d",
+]
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +93,30 @@ class TestBatchDeterminism:
     def test_batch_validation(self):
         with pytest.raises(ValueError, match="batch"):
             CampaignConfig(batch=0)
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 4, 16])
+    def test_campaign_matches_golden(self, batch, workers):
+        config = dataclasses.replace(SMALL, batch=batch)
+        result = run_campaign(CPU_CONFIGS[:2], config, workers=workers)
+        assert [hunt_digest(h) for h in result.hunts] == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_job_runner_drain_matches_golden(self, tmp_path, batch):
+        manifest = CampaignManifest(
+            name="golden", seeds=(SMALL.seed,),
+            cpus=tuple(cpu.name for cpu in CPU_CONFIGS[:2]),
+            tests_per_bug=SMALL.tests_per_bug, generator=SMALL.generator,
+            batch=batch,
+        )
+        store = ResultStore(str(tmp_path / "job"))
+        try:
+            result = JobRunner(manifest, store, workers=2).run()
+        finally:
+            store.close()
+        assert [hunt_digest(h) for h in result.hunts] == GOLDEN_DIGESTS
 
 
 class TestHungChunks:

@@ -1,7 +1,7 @@
 """Randomized kernel-vs-scalar unit tests for ``repro.core.kernels``.
 
-Every vectorized kernel ships with a pure-Python reference (the vck
-engine's fallback path).  These tests drive both over the same randomly
+Every vectorized kernel ships with a pure-Python reference (for the
+frontier DP that is the vc engine's own ``frontier_vectors``).  These tests drive both over the same randomly
 generated DAGs, chain decompositions, and query batches and demand
 bit-identical results — the contract that lets the vck engine swap the
 scalar loops for array calls without changing a single verdict.
@@ -15,7 +15,6 @@ from repro.core.kernels import (
     HAVE_NUMPY,
     AddrSpanIndex,
     build_frontiers,
-    build_frontiers_scalar,
     concat_ranges,
     concat_ranges_scalar,
     r6_spans,
@@ -29,6 +28,7 @@ from repro.core.kernels import (
     suppression_mask_scalar,
     sweep_schedule,
 )
+from repro.core.vc import frontier_vectors
 
 np = pytest.importorskip("numpy") if HAVE_NUMPY else pytest.skip(
     "numpy not installed; kernel fast paths unavailable", allow_module_level=True
@@ -68,7 +68,7 @@ def test_build_frontiers_matches_scalar(seed):
     chain_of, pos_of = _random_chains(rng, n, k)
     order = list(range(n))
     m_to, m_from = build_frontiers(n, k, order, pred, succ, chain_of, pos_of)
-    rows_to, rows_from = build_frontiers_scalar(
+    rows_to, rows_from = frontier_vectors(
         n, k, order, pred, succ, chain_of, pos_of
     )
     assert m_to.tolist() == rows_to

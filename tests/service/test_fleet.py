@@ -34,9 +34,25 @@ def manifest(**kwargs):
     return CampaignManifest(**defaults)
 
 
-def fake_hunt_task(task):
+def chunk_task(hunt):
+    """Adapt a per-hunt fake ``hunt(spec, cpu, config, index)`` to the
+    pool's task function, which hunts a whole chunk."""
+
+    def task(chunk_and_config):
+        chunk, config = chunk_and_config
+        return [hunt(spec, cpu, config, index) for spec, cpu, index in chunk]
+
+    return task
+
+
+def patch_hunts(monkeypatch, hunt):
+    monkeypatch.setattr(
+        "repro.service.queue._hunt_batch_task", chunk_task(hunt)
+    )
+
+
+def fake_hunt(spec, cpu, config, index):
     """Deterministic, fast stand-in for a real hunt (always detects)."""
-    spec, cpu, config, index = task
     time.sleep(0.01)  # long enough for runners to interleave
     return BugHunt(
         spec=spec, cpu=cpu, detected=True, tests_run=1,
@@ -46,7 +62,7 @@ def fake_hunt_task(task):
 
 @pytest.fixture
 def fast_hunts(monkeypatch):
-    monkeypatch.setattr("repro.service.queue._hunt_task", fake_hunt_task)
+    patch_hunts(monkeypatch, fake_hunt)
 
 
 def hunt_lines(root):
@@ -183,8 +199,7 @@ class TestHungRetryAcrossSessions:
         root = str(tmp_path / "job")
         stall = {"on": True}
 
-        def flaky(task):
-            spec, cpu, config, index = task
+        def flaky(spec, cpu, config, index):
             if index == 1 and stall["on"]:
                 raise RuntimeError("injected transient stall")
             return BugHunt(
@@ -192,7 +207,7 @@ class TestHungRetryAcrossSessions:
                 detected_on_seed=config.seed, via="TSO violation",
             )
 
-        monkeypatch.setattr("repro.service.queue._hunt_task", flaky)
+        patch_hunts(monkeypatch, flaky)
 
         # Session 1: hunt 1 fails its attempt and its retry — recorded
         # as a hung tombstone, session exits 2, but the job completes.
@@ -220,8 +235,7 @@ class TestHungRetryAcrossSessions:
         m = manifest(seeds=(1,))
         root = str(tmp_path / "job")
 
-        def always_stalls(task):
-            spec, cpu, config, index = task
+        def always_stalls(spec, cpu, config, index):
             if index == 1:
                 raise RuntimeError("permanent stall")
             return BugHunt(
@@ -229,7 +243,7 @@ class TestHungRetryAcrossSessions:
                 detected_on_seed=config.seed, via="TSO violation",
             )
 
-        monkeypatch.setattr("repro.service.queue._hunt_task", always_stalls)
+        patch_hunts(monkeypatch, always_stalls)
         for session in range(2):
             result = JobRunner(
                 m, quiet_store(root), owner=f"s{session}"

@@ -5,8 +5,8 @@ The three load-bearing properties of the whole system:
 1. **End-to-end soundness** — the checker never flags an execution the
    golden TSO machine produced ("we presume the machine innocent,
    unless proved guilty": no false positives, Sec. 1).
-2. **Engine agreement** — all six checker engines (the literal
-   Fig. 2 baseline, the bitset closure, the numpy matrix, the
+2. **Engine agreement** — all five checker engines (the literal
+   Fig. 2 baseline, the bitset closure, the
    incremental vector-clock engine, its vectorized-kernel variant
    ``vck`` and the streaming engine at its default no-retirement
    window) return the same verdict — and, on failures, the same
