@@ -10,8 +10,9 @@ This package provides, end to end:
 * the analysis algorithm (rules R1–R7, Fig. 2) in four agreeing
   engines — from the literal
   :class:`~repro.core.checker.BaselineChecker` to the incremental
-  :class:`~repro.core.vc.VectorClockChecker` default (see
-  ``docs/engines.md``) — plus the exponential complete procedure
+  vector-clock default (:class:`~repro.core.vc.VectorClockChecker`,
+  kernel-batched on large programs; see ``docs/engines.md``) — plus the
+  exponential complete procedure
   :func:`~repro.core.complete.complete_check`;
 * the memory models TSO, SC and PSO as pluggable ordering policies;
 * the pseudo-random racy test generator of Sec. 3.1;

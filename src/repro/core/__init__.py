@@ -13,9 +13,11 @@ Public surface:
 * :class:`repro.core.closure.ClosureChecker` /
   :class:`repro.core.vc.VectorClockChecker` /
   :class:`repro.core.vck.KernelVectorChecker` — the optimized engines
-  (bitset closure, the default incremental vector-clock frontiers, and
-  its vectorized-kernel variant; see ``docs/engines.md``), all built on
-  the shared :class:`repro.core.engine.Checker` skeleton,
+  (bitset closure, incremental vector-clock frontiers, and their
+  vectorized-kernel variant; see ``docs/engines.md``), all built on
+  the shared :class:`repro.core.engine.Checker` skeleton;
+  :class:`repro.core.vck.AdaptiveVectorChecker` is the default ``vc``
+  engine, scalar on small programs and kernel-batched on large ones,
 * :func:`repro.core.complete.complete_check` — the exponential complete
   decision procedure (enforces the Order axiom; small programs only).
 """
@@ -26,7 +28,7 @@ from repro.core.result import CheckResult, Violation, ViolationKind, EdgeReason
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
 from repro.core.vc import VectorClockChecker
-from repro.core.vck import KernelVectorChecker
+from repro.core.vck import AdaptiveVectorChecker, KernelVectorChecker
 from repro.core.complete import complete_check, CompleteResult
 from repro.core.axioms import verify_witness
 from repro.core.htmlreport import render_html
@@ -49,6 +51,7 @@ __all__ = [
     "ClosureChecker",
     "VectorClockChecker",
     "KernelVectorChecker",
+    "AdaptiveVectorChecker",
     "complete_check",
     "CompleteResult",
     "verify_witness",

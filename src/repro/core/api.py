@@ -32,25 +32,27 @@ from repro.core.closure import ClosureChecker
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult
 from repro.core.stream import StreamingChecker
-from repro.core.vc import VectorClockChecker
-from repro.core.vck import KernelVectorChecker
+from repro.core.vck import AdaptiveVectorChecker, KernelVectorChecker
 from repro.model.expansion import AnalysisProgram, expand
 from repro.model.program import Program, parse_litmus
 from repro.model.trace import Execution
 
 #: Registered checker engines, by name — the same set with or without
-#: numpy: ``vck`` falls back to the shared scalar path when the
-#: ``repro[fast]`` extra is missing (see ``docs/performance.md``).
+#: numpy: ``vc`` and ``vck`` fall back to the shared scalar path when
+#: the ``repro[fast]`` extra is missing (see ``docs/performance.md``).
+#: ``vc`` takes the kernel path only on programs of at least
+#: ``AdaptiveVectorChecker.kernel_min_nodes`` nodes.
 ENGINES = {
     "baseline": BaselineChecker,
     "closure": ClosureChecker,
     "stream": StreamingChecker,
-    "vc": VectorClockChecker,
+    "vc": AdaptiveVectorChecker,
     "vck": KernelVectorChecker,
 }
 
-#: The production default: the incremental vector-clock engine (see
-#: ``docs/engines.md`` for the five engines and when to pick each).
+#: The production default: the incremental vector-clock engine, on
+#: vck's kernel path for large programs (see ``docs/engines.md`` for
+#: the five engines and when to pick each).
 DEFAULT_ENGINE = "vc"
 
 

@@ -36,7 +36,7 @@ from repro.core.engine import Checker, cycle_violation
 from repro.core.graph import ConstraintGraph, topological_order
 from repro.core.policy import MemoryModel, TSO
 from repro.core.prep import iter_bits, prepare
-from repro.core.result import CheckStats, EdgeReason, Violation
+from repro.core.result import CheckStats, InferredReason, Violation
 from repro.model.expansion import AnalysisProgram
 
 
@@ -114,11 +114,7 @@ class ClosureChecker(Checker):
                     (1 << target) | reach_to[target_first]
                 )
                 for s_prime in iter_bits(candidates):
-                    reason = EdgeReason(
-                        "R6",
-                        f"store n{s_prime} precedes load n{load}, which "
-                        f"observed store n{target} (Value axiom)",
-                    )
+                    reason = InferredReason("R6", s_prime, load, target)
                     if graph.add_edge(s_prime, target, reason):
                         added += 1
             for store, addr, observers in stores:
@@ -128,11 +124,7 @@ class ClosureChecker(Checker):
                     for load, load_last in observers:
                         if (reach_from[load_last] >> s_prime_first) & 1:
                             continue  # redirected edge already implied
-                        reason = EdgeReason(
-                            "R7",
-                            f"load n{load} observed store n{store}, which "
-                            f"precedes store n{s_prime} (Value axiom)",
-                        )
+                        reason = InferredReason("R7", load, store, s_prime)
                         if graph.add_edge(load, s_prime, reason):
                             added += 1
             if not added:

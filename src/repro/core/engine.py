@@ -36,6 +36,7 @@ from repro.core.result import (
     EdgeReason,
     Violation,
     ViolationKind,
+    program_order_reason,
 )
 from repro.model.expansion import AnalysisProgram, OpKind
 
@@ -190,7 +191,7 @@ class Checker:
         ordering facts (Sec. 3.2).
         """
         for u, v, rule in static_edges(aprog, self.model):
-            yield u, v, EdgeReason(rule, "program order"), "static"
+            yield u, v, program_order_reason(rule), "static"
         for u, v, reason, _rule in observed_edges(aprog):
             yield u, v, reason, "observed"
 

@@ -44,7 +44,6 @@ class ConstraintGraph:
         self.n = 0
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
-        self._succ_sets: List[set] = []
         # Redirection tables: _group[i] is node i's atomic group (-1 if
         # none), _red_src[i]/_red_dst[i] its group-last/group-first.
         # redirect() is called once per prospective edge — several per
@@ -53,6 +52,8 @@ class ConstraintGraph:
         self._group: List[int] = []
         self._red_src: List[int] = []
         self._red_dst: List[int] = []
+        # One entry per explicit edge: its keys are the edge set that
+        # has_edge() and the insert paths test membership against.
         self.reasons: Dict[Tuple[int, int], EdgeReason] = {}
         self.edge_count = 0
         self.grow()
@@ -71,7 +72,6 @@ class ConstraintGraph:
             i = self.n
             self.succ.append([])
             self.pred.append([])
-            self._succ_sets.append(set())
             group = aprog.ops[i].group
             self._group.append(group)
             if group == -1:
@@ -101,7 +101,7 @@ class ConstraintGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if the explicit (non-transitive) edge ``u -> v`` exists."""
-        return v in self._succ_sets[u]
+        return (u, v) in self.reasons
 
     def add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
         """Add ``u -> v`` (after redirection); return True if it is new.
@@ -118,13 +118,13 @@ class ConstraintGraph:
             v = self._red_dst[v]
         if u == v:
             raise CycleDetected(u, v)
-        succ_set = self._succ_sets[u]
-        if v in succ_set:
+        key = (u, v)
+        reasons = self.reasons
+        if key in reasons:
             return False
-        succ_set.add(v)
+        reasons[key] = reason
         self.succ[u].append(v)
         self.pred[v].append(u)
-        self.reasons[(u, v)] = reason
         self.edge_count += 1
         return True
 
@@ -133,12 +133,13 @@ class ConstraintGraph:
         caller — the incremental engines redirect once up front and
         insert millions of edges, so the second redirection is pure
         overhead on their hot path."""
-        if v in self._succ_sets[u]:
+        key = (u, v)
+        reasons = self.reasons
+        if key in reasons:
             return False
-        self._succ_sets[u].add(v)
+        reasons[key] = reason
         self.succ[u].append(v)
         self.pred[v].append(u)
-        self.reasons[(u, v)] = reason
         self.edge_count += 1
         return True
 

@@ -10,7 +10,7 @@ This module is the compute layer that batches those loops into a few
 array operations per *address* per fixed-point round:
 
 * :func:`build_frontiers` — both frontier matrices as row-major
-  ``(n, k)`` int64 arrays via the initial closure DP: the frontier
+  ``(n, k)`` int32 arrays via the initial closure DP: the frontier
   merge is ``np.maximum``/``np.minimum`` over parent/child chain rows,
   one row per node in topological order (scalar reference: the vc
   engine's own DP, :func:`repro.core.vc.frontier_vectors`).
@@ -34,12 +34,15 @@ array operations per *address* per fixed-point round:
   of (candidate, observer) pairs as one fancy-indexed compare against
   the backward-frontier view.
 
+The consumers are the vck engine at every size and the default vc
+engine (:class:`repro.core.vck.AdaptiveVectorChecker`) on programs of
+at least its ``kernel_min_nodes`` nodes.
+
 numpy is an *optional* extra (``pip install repro[fast]``).  Every
 kernel has a scalar reference implementation that the randomized kernel
 unit tests compare it against.  The references are not a fallback:
-without numpy the vck engine degrades to the vc engine's inherited
-scalar methods rather than failing to import (see
-``docs/performance.md``).
+without numpy both engines run the vc engine's inherited scalar
+methods rather than failing to import (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ def build_frontiers(
 ):
     """One-pass closure DP producing both frontier matrices.
 
-    Returns ``(m_to, m_from)`` as ``(n, k)`` int64 arrays: ``m_to[v][c]``
+    Returns ``(m_to, m_from)`` as ``(n, k)`` int32 arrays (positions
+    never exceed the ``n + 1`` sentinel, and half the width of int64
+    is most of a paper-scale check's memory): ``m_to[v][c]``
     is the highest position in chain ``c`` reaching ``v`` (-1: none),
     ``m_from[v][c]`` the lowest position reachable from ``v``
     (``n + 1``: none); both include ``v`` itself.  This is the frontier
@@ -80,8 +85,8 @@ def build_frontiers(
     parent/child chain rows, nodes visited in topological order
     (scalar reference: :func:`repro.core.vc.frontier_vectors`).
     """
-    m_to = np.full((n, k), -1, dtype=np.int64)
-    m_from = np.full((n, k), n + 1, dtype=np.int64)
+    m_to = np.full((n, k), -1, dtype=np.int32)
+    m_from = np.full((n, k), n + 1, dtype=np.int32)
     for node in order:
         parents = pred[node]
         row = m_to[node]

@@ -13,15 +13,21 @@ emits Graphviz DOT for the graphical view.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.expansion import AnalysisProgram
 
 
-@dataclass(frozen=True)
 class EdgeReason:
     """Why an edge exists in the analysis graph.
+
+    Reasons compare and hash by ``(rule, detail)``.  A check creates one
+    per explicit edge — tens of thousands at paper scale — so the class
+    is slotted, every static edge of a rule shares one instance
+    (:func:`program_order_reason`) and R6/R7 reasons write their text
+    only when it is read (:class:`InferredReason`).
 
     Attributes:
         rule: the rule id: ``R1``–``R7`` from Fig. 2, plus ``atomic``
@@ -30,12 +36,65 @@ class EdgeReason:
             binding forced the edge.
     """
 
-    rule: str
-    detail: str = ""
+    __slots__ = ("rule", "_detail")
+
+    def __init__(self, rule: str, detail: str = "") -> None:
+        self.rule = rule
+        self._detail = detail
+
+    @property
+    def detail(self) -> str:
+        return self._detail
 
     def render(self) -> str:
         """One-line rendering: ``R5: <detail>``."""
         return f"{self.rule}: {self.detail}" if self.detail else self.rule
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeReason):
+            return NotImplemented
+        return self.rule == other.rule and self.detail == other.detail
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.detail))
+
+    def __repr__(self) -> str:
+        return f"EdgeReason(rule={self.rule!r}, detail={self.detail!r})"
+
+
+class InferredReason(EdgeReason):
+    """An R6/R7 edge's reason, held as the rule's three node ids.
+
+    ``R6``: ``(s_prime, load, target)`` — ``s_prime`` precedes ``load``,
+    which observed ``target``.  ``R7``: ``(load, store, s_prime)`` —
+    ``load`` observed ``store``, which precedes ``s_prime``.  The text is
+    built when :attr:`detail` is read, so the reasons of a passing check
+    never render.
+    """
+
+    __slots__ = ("nodes",)
+
+    _TEXT = {
+        "R6": "store n{0} precedes load n{1}, which observed store n{2} "
+        "(Value axiom)",
+        "R7": "load n{0} observed store n{1}, which precedes store n{2} "
+        "(Value axiom)",
+    }
+
+    def __init__(self, rule: str, a: int, b: int, c: int) -> None:
+        self.rule = rule
+        self.nodes = (a, b, c)
+
+    @property
+    def detail(self) -> str:
+        return self._TEXT[self.rule].format(*self.nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def program_order_reason(rule: str) -> EdgeReason:
+    """The one reason shared by every static (R1–R3, ``atomic``,
+    ``init``) edge of ``rule``."""
+    return EdgeReason(rule, "program order")
 
 
 class ViolationKind(enum.Enum):
@@ -236,10 +295,10 @@ class CheckStats:
     #: the affected-region cost of keeping the topological order (and
     #: with it cycle detection) current across edge insertions.
     reorder_visits: int = 0
-    #: Vck engine only: vectorized kernel dispatches — frontier builds,
-    #: batched R6/R7 span discoveries, and batched suppression tests.
-    #: Stays 0 on the pure-Python fallback path (no numpy), where the
-    #: engine runs the shared scalar loops instead.
+    #: Kernel path only (vck, and vc on large programs): vectorized
+    #: kernel dispatches — frontier builds, batched R6/R7 span
+    #: discoveries, and batched suppression tests.  Stays 0 on the
+    #: scalar path (no numpy, or vc below its kernel threshold).
     kernel_batches: int = 0
     #: Stream engine only: nodes whose frontier vectors were dropped by
     #: window retirement, and the peak count of simultaneously-live

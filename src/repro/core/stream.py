@@ -77,7 +77,14 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.engine import Checker, cycle_violation, precheck_violation
 from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.policy import MemoryModel, TSO
-from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
+from repro.core.result import (
+    CheckResult,
+    CheckStats,
+    EdgeReason,
+    InferredReason,
+    Violation,
+    program_order_reason,
+)
 from repro.model.expansion import (
     NO_GROUP,
     AnalysisProgram,
@@ -293,7 +300,7 @@ class _StreamState:
             self._register_store_position(op_id, op.addr)
             self._note_new_store(op_id, op.addr)
         for u, rule in static:
-            if self._add_edge(u, op_id, EdgeReason(rule, "program order")):
+            if self._add_edge(u, op_id, program_order_reason(rule)):
                 self.stats.static_edges += 1
         self._unsettled.append(op_id)
 
@@ -526,11 +533,7 @@ class _StreamState:
                 node = members[pos]
                 if node == target:
                     continue
-                reason = EdgeReason(
-                    "R6",
-                    f"store n{node} precedes load n{load}, which "
-                    f"observed store n{target} (Value axiom)",
-                )
+                reason = InferredReason("R6", node, load, target)
                 if self._add_edge(node, target, reason):
                     self.stats.inferred_edges += 1
         self.stats.vc_queries += queries
@@ -631,11 +634,7 @@ class _StreamState:
                 # redundant) edge is the sound fallback.
                 if vf_load is not None and vf_load[sp_chain] <= sp_pos:
                     continue
-                reason = EdgeReason(
-                    "R7",
-                    f"load n{load} observed store n{store}, which "
-                    f"precedes store n{s_prime} (Value axiom)",
-                )
+                reason = InferredReason("R7", load, store, s_prime)
                 if self._add_edge(load, s_prime, reason):
                     self.stats.inferred_edges += 1
         return queries

@@ -53,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.engine import Checker
 from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.prep import Chains, EnginePrep, prepare
-from repro.core.result import CheckStats, EdgeReason, Violation
+from repro.core.result import CheckStats, EdgeReason, InferredReason, Violation
 from repro.model.expansion import AnalysisProgram
 
 
@@ -169,11 +169,7 @@ class VectorClockChecker(Checker):
             for load, addr, target, target_first in prep.loads:
                 for s_prime in self._r6_candidates(addr, load, target,
                                                   target_first):
-                    reason = EdgeReason(
-                        "R6",
-                        f"store n{s_prime} precedes load n{load}, which "
-                        f"observed store n{target} (Value axiom)",
-                    )
+                    reason = InferredReason("R6", s_prime, load, target)
                     if add_edge(s_prime, target, reason):
                         added += 1
             queries = 0
@@ -186,11 +182,7 @@ class VectorClockChecker(Checker):
                     for load, load_last in observers:
                         if vec_from[load_last][sp_chain] <= sp_pos:
                             continue  # redirected edge already implied
-                        reason = EdgeReason(
-                            "R7",
-                            f"load n{load} observed store n{store}, which "
-                            f"precedes store n{s_prime} (Value axiom)",
-                        )
+                        reason = InferredReason("R7", load, store, s_prime)
                         if add_edge(load, s_prime, reason):
                             added += 1
             stats.vc_queries += queries

@@ -1,4 +1,5 @@
-"""The kernel-accelerated checker engine (``--engine vck``).
+"""The kernel-accelerated checker engine (``--engine vck``), and the
+kernel path of the default ``vc`` engine on large programs.
 
 Sixth implementation of the Fig. 2 rules: the vc engine's algorithm —
 chain frontiers, Pearce–Kelly online cycle detection — re-expressed
@@ -9,7 +10,7 @@ Pearce–Kelly reordering, and the witness comes from the shared
 :class:`repro.core.engine.Checker`); what changes is how the hot loops
 execute:
 
-* **Frontier state is two ``(n, k)`` numpy matrices** (``m_to``:
+* **Frontier state is two ``(n, k)`` int32 numpy matrices** (``m_to``:
   highest chain positions reaching each node, ``m_from``: lowest
   reachable), row-major so every per-node frontier is one contiguous
   row.
@@ -45,8 +46,14 @@ execute:
   the current row (the shallow merge keeps each observer's own row
   fresh, preserving vc's minimal-candidate suppression within a batch).
 
-Without numpy the engine transparently degrades to the inherited
-scalar paths — ``vck`` then *is* ``vc`` plus a name — so the module
+The batching has a fixed cost per round that only pays off on large
+programs, so the path is taken from :attr:`kernel_min_nodes` analysis
+nodes: 0 for ``vck``, 1000 for :class:`AdaptiveVectorChecker`, the class
+registered as the default ``vc`` engine.  Smaller programs run the
+inherited scalar loops of :class:`VectorClockChecker` unchanged.
+
+Without numpy both engines transparently degrade to those scalar loops
+at every size — ``vck`` then *is* ``vc`` plus a name — so the module
 imports and verdicts survive a missing ``repro[fast]`` extra
 (``tests/core/test_no_numpy.py`` proves it with a stubbed import).
 """
@@ -58,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import kernels
 from repro.core.graph import ConstraintGraph, CycleDetected, reorder
 from repro.core.prep import EnginePrep
-from repro.core.result import CheckStats, EdgeReason, Violation
+from repro.core.result import CheckStats, EdgeReason, InferredReason, Violation
 from repro.core.vc import VectorClockChecker
 from repro.model.expansion import AnalysisProgram
 
@@ -67,13 +74,19 @@ class KernelVectorChecker(VectorClockChecker):
     """Fig. 2 with batched kernel math over the vc chain formulation."""
 
     name = "vck"
+    #: Smallest analysis program, in nodes, that takes the kernel path;
+    #: smaller ones run the inherited scalar loops.  ``vck`` takes it
+    #: at every size.
+    kernel_min_nodes = 0
 
     # ------------------------------------------------------------------
     # State: row-major frontier matrices (kernel path only)
     # ------------------------------------------------------------------
 
     def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
-        self._use_kernels = kernels.HAVE_NUMPY
+        self._use_kernels = (
+            kernels.HAVE_NUMPY and graph.n >= self.kernel_min_nodes
+        )
         if not self._use_kernels:
             super()._init_state(graph, order)
             return
@@ -131,15 +144,15 @@ class KernelVectorChecker(VectorClockChecker):
             v = graph._red_dst[v]
         if u == v:
             raise CycleDetected(u, v)
-        succ_set = graph._succ_sets[u]
-        if v in succ_set:
+        key = (u, v)
+        reasons = graph.reasons
+        if key in reasons:
             return False
         if self._ord[u] >= self._ord[v]:
             reorder(graph, self._ord, u, v, reason, self._stats)
-        succ_set.add(v)
+        reasons[key] = reason
         graph.succ[u].append(v)
         graph.pred[v].append(u)
-        graph.reasons[(u, v)] = reason
         graph.edge_count += 1
         m_to = self._m_to
         m_from = self._m_from
@@ -337,13 +350,9 @@ class KernelVectorChecker(VectorClockChecker):
                         gl_list[s_prime]
                     ]:
                         continue  # implied by an edge added this batch
-                    reason = EdgeReason(
-                        "R6",
-                        f"store n{s_prime} precedes load n{loads[it]}, "
-                        f"which observed store n{targets[it]} "
-                        f"(Value axiom)",
-                    )
-                    if add_edge(s_prime, targets[it], reason):
+                    target = targets[it]
+                    reason = InferredReason("R6", s_prime, loads[it], target)
+                    if add_edge(s_prime, target, reason):
                         added += 1
 
             for (index, store_list, obs_loads, obs_lasts, stores_np,
@@ -395,11 +404,7 @@ class KernelVectorChecker(VectorClockChecker):
                         continue  # implied by an edge added this batch
                     load = obs_loads[slot]
                     store = store_list[int(item[pair_index])]
-                    reason = EdgeReason(
-                        "R7",
-                        f"load n{load} observed store n{store}, which "
-                        f"precedes store n{s_prime} (Value axiom)",
-                    )
+                    reason = InferredReason("R7", load, store, s_prime)
                     if add_edge(load, s_prime, reason):
                         added += 1
 
@@ -408,3 +413,22 @@ class KernelVectorChecker(VectorClockChecker):
                 return None
             if added:
                 self._refresh(graph, stats)
+
+
+class AdaptiveVectorChecker(KernelVectorChecker):
+    """The default ``vc`` engine: vc's scalar loops on small programs,
+    vck's kernel path from :attr:`kernel_min_nodes` nodes.
+
+    Without numpy every size runs the scalar loops, so this is then
+    :class:`VectorClockChecker` under the same name.
+    """
+
+    name = "vc"
+    #: Placed by node count from the crossover table in
+    #: ``benchmarks/results/engine_scaling.txt`` (vck/vc check time,
+    #: best of 5, three seeds per shape, 2-core x86-64, Python 3.11,
+    #: numpy 2.4): 1.3–1.6 at 265 nodes and 1.0–1.4 at 500 nodes on
+    #: 4 CPUs; 0.8–1.0 at 1000–1300 nodes on 4 CPUs; 0.5–0.9 at about
+    #: 1300 nodes on 8 and 16 CPUs; 0.3–0.4 at 10k nodes (16×400).
+    #: Campaign checks (4×80, under 800 nodes) stay on the scalar path.
+    kernel_min_nodes = 1000

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.api import check
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.result import EdgeReason
+from repro.generator.config import GeneratorConfig
+from repro.generator.generator import generate_program
+from repro.sim.machine import TsoMachine
 from tests.util import litmus_aprog
 
 R = EdgeReason("test")
@@ -33,6 +37,31 @@ class TestAddEdge:
         reason = EdgeReason("R4", "because")
         g.add_edge(1, 2, reason)
         assert g.reason_of(1, 2) is reason
+
+    def test_duplicates_rejected_on_both_insert_paths(self):
+        _, g = _graph("P0: S[A]#1 ; S[B]#2")
+        first = EdgeReason("R4", "first")
+        assert g.add_edge(1, 2, first) is True
+        assert g.add_edge(1, 2, EdgeReason("R6")) is False
+        assert g.add_redirected(1, 2, EdgeReason("R7")) is False
+        assert g.reason_of(1, 2) is first
+        assert g.succ[1] == [2] and g.pred[2] == [1]
+        assert g.edge_count == len(g.reasons) == 1
+
+
+@pytest.mark.parametrize(
+    "engine", ["baseline", "closure", "stream", "vc", "vck"]
+)
+def test_reasons_are_the_edge_set(engine):
+    # The reason map is the graph's only membership index: one key per
+    # explicit edge, matching the adjacency lists in both directions.
+    config = GeneratorConfig(nprocs=4, ops_per_proc=40, shared_words=4)
+    program = generate_program(config, seed=5)
+    result = check(program, TsoMachine(program, seed=5).run(), engine=engine)
+    g = result.graph
+    assert g.edge_count == len(g.reasons) == sum(map(len, g.succ))
+    assert sum(map(len, g.pred)) == g.edge_count
+    assert set(g.reasons) == {(u, v) for u in range(g.n) for v in g.succ[u]}
 
 
 class TestAtomicRedirection:

@@ -1,11 +1,13 @@
 """The no-numpy fallback contract, tested for real.
 
 numpy is an optional extra (``pip install repro[fast]``).  Without it
-the engine registry must keep the same keys, ``vck`` must silently
-degrade to the shared scalar path, and verdicts must not change.  Monkeypatching ``sys.modules`` in-process is
-unreliable once numpy has been imported anywhere, so this runs a fresh
-interpreter with numpy stubbed out of ``sys.modules`` before any repro
-import (the standard ``sys.modules[name] = None`` import blocker).
+the engine registry must keep the same keys, ``vck`` — and ``vc`` on
+programs past its kernel threshold — must silently degrade to the
+shared scalar path, and verdicts must not change.  Monkeypatching
+``sys.modules`` in-process is unreliable once numpy has been imported
+anywhere, so this runs a fresh interpreter with numpy stubbed out of
+``sys.modules`` before any repro import (the standard
+``sys.modules[name] = None`` import blocker).
 """
 
 import json
@@ -28,6 +30,9 @@ _PROBE = textwrap.dedent(
 
     from repro.core.api import ENGINES, check, check_litmus
     from repro.core.kernels import HAVE_NUMPY
+    from repro.core.vc import VectorClockChecker
+    from repro.core.vck import AdaptiveVectorChecker
+    from repro.model.expansion import expand
     from repro.generator.config import GeneratorConfig
     from repro.generator.generator import generate_program
     from repro.sim.machine import TsoMachine
@@ -54,6 +59,20 @@ _PROBE = textwrap.dedent(
     clean_vck = check(program, trace, engine="vck")
     clean_vc = check(program, trace, engine="vc")
 
+    # Past the default engine's kernel threshold: still the scalar path.
+    big_program = generate_program(
+        GeneratorConfig(nprocs=8, ops_per_proc=200, shared_words=8), seed=3
+    )
+    big_trace = TsoMachine(big_program, seed=3).run()
+    big_aprog = expand(big_trace, initial=big_program.initial)
+    big_vc = check(big_program, big_trace, engine="vc")
+    big_scalar = VectorClockChecker().run(big_aprog)
+
+    def counters(result):
+        stats = result.stats.to_dict()
+        del stats["seconds"]
+        return stats
+
     print(json.dumps({
         "have_numpy": HAVE_NUMPY,
         "engines": sorted(ENGINES),
@@ -64,6 +83,12 @@ _PROBE = textwrap.dedent(
         "clean_ok": clean_vck.ok and clean_vc.ok,
         "clean_edges_match": clean_vck.stats.edges == clean_vc.stats.edges,
         "kernel_batches": clean_vck.stats.kernel_batches,
+        "big_nodes": big_aprog.n,
+        "kernel_min_nodes": AdaptiveVectorChecker.kernel_min_nodes,
+        "big_ok": big_vc.ok and big_scalar.ok,
+        "big_engine": big_vc.engine,
+        "big_kernel_batches": big_vc.stats.kernel_batches,
+        "big_counters_match": counters(big_vc) == counters(big_scalar),
     }))
     """
 )
@@ -98,6 +123,13 @@ def test_vck_falls_back_without_numpy():
     assert report["clean_ok"] is True
     assert report["clean_edges_match"] is True
     assert report["kernel_batches"] == 0
+    # The default engine on a program past its kernel threshold runs the
+    # scalar loops, counter for counter, and keeps the verdict.
+    assert report["big_nodes"] >= report["kernel_min_nodes"]
+    assert report["big_ok"] is True
+    assert report["big_engine"] == "vc"
+    assert report["big_kernel_batches"] == 0
+    assert report["big_counters_match"] is True
 
 
 @pytest.mark.skipif(
