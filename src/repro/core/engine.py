@@ -70,6 +70,35 @@ def po_prev_stores(aprog: AnalysisProgram) -> Dict[int, int]:
     return result
 
 
+def value_axiom_edges(
+    aprog: AnalysisProgram, load: int, store: int, s_prime: Optional[int]
+) -> Iterator[Tuple[int, int, EdgeReason]]:
+    """Yield the R4/R5 edges ``(src, dst, reason)`` of ``load``, which
+    observed ``store``; ``s_prime`` is the last same-address store before
+    the load in program order (``None`` if there is none)."""
+    op = aprog.ops[load]
+    s_op = aprog.ops[store]
+    same_proc_earlier = (
+        s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po
+    )
+    if not same_proc_earlier:
+        yield store, load, EdgeReason(
+            "R4",
+            f"{aprog.describe(load)} observed the value of "
+            f"{aprog.describe(store)}, which is not an earlier store of "
+            "the same processor, so the store must be globally visible "
+            "before the load binds (Value axiom)",
+        )
+    if s_prime is not None and s_prime != store:
+        yield s_prime, store, EdgeReason(
+            "R5",
+            f"{aprog.describe(load)} observed {aprog.describe(store)} "
+            f"despite the program-order-earlier {aprog.describe(s_prime)}; "
+            "by the Value axiom that earlier store must be globally "
+            "ordered before the observed one",
+        )
+
+
 def observed_edges(
     aprog: AnalysisProgram,
 ) -> Iterable[Tuple[int, int, EdgeReason, str]]:
@@ -78,31 +107,12 @@ def observed_edges(
     for op in aprog.ops:
         if not op.is_load:
             continue
-        load = op.id
         store = aprog.map_value(op.addr, op.value)
         if store is None:
             continue  # precheck failure already recorded
-        s_op = aprog.ops[store]
-        same_proc_earlier = (
-            s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po
-        )
-        if not same_proc_earlier:
-            yield store, load, EdgeReason(
-                "R4",
-                f"{aprog.describe(load)} observed the value of "
-                f"{aprog.describe(store)}, which is not an earlier store of "
-                "the same processor, so the store must be globally visible "
-                "before the load binds (Value axiom)",
-            ), "R4"
-        s_prime = prev_store.get(load)
-        if s_prime is not None and s_prime != store:
-            yield s_prime, store, EdgeReason(
-                "R5",
-                f"{aprog.describe(load)} observed {aprog.describe(store)} "
-                f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-                "by the Value axiom that earlier store must be globally "
-                "ordered before the observed one",
-            ), "R5"
+        edges = value_axiom_edges(aprog, op.id, store, prev_store.get(op.id))
+        for src, dst, reason in edges:
+            yield src, dst, reason, reason.rule
 
 
 def cycle_violation(

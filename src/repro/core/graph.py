@@ -8,8 +8,9 @@ relations cannot form a valid order — a memory-model violation.
 Atomic groups are modelled exactly as the paper describes: "incoming edges
 incident to any node in the set [are forced] to point to its first node;
 outgoing edges from any node in the set similarly leave from its last
-node."  :meth:`ConstraintGraph.add_edge` performs that redirection, except
-for edges internal to a single group (the ``L <= S`` chain of a swap).
+node."  :meth:`ConstraintGraph.insert`, the one insert path, performs
+that redirection, except for edges internal to a single group (the
+``L <= S`` chain of a swap).
 
 Every explicit edge carries an :class:`~repro.core.result.EdgeReason` so
 failures can be explained edge by edge (Sec. 3.4).
@@ -46,14 +47,14 @@ class ConstraintGraph:
         self.pred: List[List[int]] = []
         # Redirection tables: _group[i] is node i's atomic group (-1 if
         # none), _red_src[i]/_red_dst[i] its group-last/group-first.
-        # redirect() is called once per prospective edge — several per
-        # node per round — so three list reads beat the op/group dict
-        # walk it would otherwise repeat millions of times.
+        # insert() redirects every prospective edge — several per node
+        # per round — so three list reads beat the op/group dict walk
+        # it would otherwise repeat millions of times.
         self._group: List[int] = []
         self._red_src: List[int] = []
         self._red_dst: List[int] = []
         # One entry per explicit edge: its keys are the edge set that
-        # has_edge() and the insert paths test membership against.
+        # has_edge() and insert() test membership against.
         self.reasons: Dict[Tuple[int, int], EdgeReason] = {}
         self.edge_count = 0
         self.grow()
@@ -87,18 +88,6 @@ class ConstraintGraph:
                         self._red_src[member] = last
             self.n += 1
 
-    def redirect(self, u: int, v: int) -> Tuple[int, int]:
-        """Apply atomic-group redirection to a prospective edge ``u -> v``.
-
-        Returns the effective ``(source, destination)`` pair: outgoing
-        edges leave from the group's last node, incoming edges land on the
-        group's first node.  Edges within one group are left untouched.
-        """
-        gu = self._group[u]
-        if gu != -1 and gu == self._group[v]:
-            return u, v
-        return self._red_src[u], self._red_dst[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         """True if the explicit (non-transitive) edge ``u -> v`` exists."""
         return (u, v) in self.reasons
@@ -110,8 +99,28 @@ class ConstraintGraph:
             CycleDetected: if the redirected edge is a self-loop, which is
                 an immediate one-node cycle.
         """
-        # redirect() + add_redirected(), inlined: this is the guaranteed
-        # phase's per-edge path, hot enough for the two calls to show up.
+        return self.insert(u, v, reason) is not None
+
+    def insert(
+        self,
+        u: int,
+        v: int,
+        reason: EdgeReason,
+        order: Optional[List[int]] = None,
+        stats: Optional[CheckStats] = None,
+    ) -> Optional[Tuple[int, int]]:
+        """Insert the redirected ``u -> v``; return it, or ``None`` if it
+        already exists.
+
+        ``order`` is a topological order of the graph as per-node
+        indices, kept by the incremental engines; an edge against it is
+        placed by :func:`reorder`, whose visits go to ``stats``.
+
+        Raises:
+            CycleDetected: the edge is a self-loop, or closes a cycle
+                against ``order``; a closing edge is recorded first, so
+                the witness can name its rule.
+        """
         gu = self._group[u]
         if gu == -1 or gu != self._group[v]:
             u = self._red_src[u]
@@ -121,27 +130,19 @@ class ConstraintGraph:
         key = (u, v)
         reasons = self.reasons
         if key in reasons:
-            return False
+            return None
+        closes = (
+            order is not None
+            and order[u] >= order[v]
+            and reorder(self, order, u, v, stats)
+        )
         reasons[key] = reason
         self.succ[u].append(v)
         self.pred[v].append(u)
         self.edge_count += 1
-        return True
-
-    def add_redirected(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """:meth:`add_edge` for endpoints already redirected by the
-        caller — the incremental engines redirect once up front and
-        insert millions of edges, so the second redirection is pure
-        overhead on their hot path."""
-        key = (u, v)
-        reasons = self.reasons
-        if key in reasons:
-            return False
-        reasons[key] = reason
-        self.succ[u].append(v)
-        self.pred[v].append(u)
-        self.edge_count += 1
-        return True
+        if closes:
+            raise CycleDetected(u, v)
+        return key
 
     def reason_of(self, u: int, v: int) -> EdgeReason:
         """The reason recorded for explicit edge ``u -> v``."""
@@ -253,24 +254,20 @@ def reorder(
     ord_: List[int],
     u: int,
     v: int,
-    reason: EdgeReason,
     stats: CheckStats,
-) -> None:
-    """Pearce–Kelly local reordering for the insertion of ``u -> v``.
+) -> bool:
+    """Pearce–Kelly local reordering for the insertion of ``u -> v``;
+    the order-incompatible step of :meth:`ConstraintGraph.insert`.
 
     ``ord_`` is a topological order of ``graph`` held as per-node
-    indices, maintained online by the incremental engines.  When ``u``
-    already precedes ``v`` the edge is order-compatible and nothing is
-    visited.  Otherwise the affected region — forward from ``v`` up to
-    ``u``'s index, backward from ``u`` down to ``v``'s index — is
-    discovered and its order indices are redealt, ancestors first.  The
-    forward search reaching ``u`` is a cycle: the edge is recorded (so
-    the witness can explain it) and :class:`CycleDetected` is raised.
-    ``u`` and ``v`` must already be redirected.
+    indices, and ``u`` does not precede ``v`` in it.  The affected
+    region — forward from ``v`` up to ``u``'s index, backward from
+    ``u`` down to ``v``'s index — is discovered and its order indices
+    are redealt, ancestors first.  Returns True, leaving the order as
+    it was, when the forward search reaches ``u``: the edge closes a
+    cycle.  ``u`` and ``v`` must already be redirected.
     """
     upper = ord_[u]
-    if upper < ord_[v]:
-        return
     succ, pred = graph.succ, graph.pred
     lower = ord_[v]
     forward = {v}
@@ -279,10 +276,7 @@ def reorder(
         node = stack.pop()
         for child in succ[node]:
             if child == u:
-                # Path v ~> u exists: u -> v closes a cycle.  Record
-                # the edge so cycle_reasons can name its rule.
-                graph.add_redirected(u, v, reason)
-                raise CycleDetected(u, v)
+                return True  # path v ~> u: u -> v closes a cycle
             if child not in forward and ord_[child] <= upper:
                 forward.add(child)
                 stack.append(child)
@@ -300,3 +294,4 @@ def reorder(
     slots = sorted(ord_[node] for node in affected)
     for node, slot in zip(affected, slots):
         ord_[node] = slot
+    return False

@@ -13,10 +13,15 @@ the single home for all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.policy import MemoryModel
-from repro.model.expansion import AnalysisProgram, OpKind
+from repro.model.expansion import (
+    ROOT_PROC,
+    AnalysisOp,
+    AnalysisProgram,
+    OpKind,
+)
 
 #: One R6 work item: (load id, word address, observed store,
 #: group-first node of the observed store — where redirected incoming
@@ -37,6 +42,48 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+#: A chain's identity; chains are numbered in key order.  ``(0, addr)``
+#: is a root store, ``(1, proc, 0)`` a processor's loads and membars
+#: (all its ops under SC), ``(1, proc, 1)`` its stores, and
+#: ``(1, proc, 1, addr)`` its stores to ``addr``; a trailing op id
+#: marks a singleton.
+ChainKey = Tuple[int, ...]
+
+
+def chain_key(model: MemoryModel, op: AnalysisOp) -> ChainKey:
+    """The chain ``op`` joins under ``model`` (see :class:`Chains`)."""
+    if op.is_root:
+        return (0, op.addr)
+    full_po = (
+        model.load_load and model.load_store
+        and model.store_store and model.store_load
+    )
+    if op.kind != OpKind.STORE or full_po:
+        if model.load_load or op.kind == OpKind.MEMBAR:
+            return (1, op.proc, 0)
+        return (1, op.proc, 0, op.id)
+    if model.store_store:
+        return (1, op.proc, 1)
+    if model.same_addr_store_store:
+        return (1, op.proc, 1, op.addr)
+    return (1, op.proc, 1, op.id)
+
+
+def chain_keys(
+    model: MemoryModel, nprocs: int, addresses: Sequence[int]
+) -> List[ChainKey]:
+    """:func:`chain_key` of every (processor, op kind, address) an op
+    can take, sorted: all the chains a program can have under a model
+    without singleton chains, as every shipped model is."""
+    probes = [AnalysisOp(-1, ROOT_PROC, -1, OpKind.STORE, a, None)
+              for a in addresses]
+    probes += [
+        AnalysisOp(-1, proc, -1, kind, addr, None)
+        for proc in range(nprocs) for kind in OpKind for addr in addresses
+    ]
+    return sorted({chain_key(model, op) for op in probes})
+
+
 class Chains:
     """A chain decomposition of the analysis nodes, derived from the
     memory model's static guarantees.
@@ -48,7 +95,7 @@ class Chains:
     member ``c[i]`` reaches ``v``, so does every ``c[j]`` with
     ``j < i``.
 
-    The decomposition, per processor:
+    The decomposition (:func:`chain_key`), per processor:
 
     * loads and membars in program order (``load_load`` models — all
       shipped ones; otherwise membars chain alone and loads are
@@ -63,74 +110,43 @@ class Chains:
     Each synthetic root store is its own singleton chain (roots are
     mutually unordered).
 
-    Shared by the scalar vc engine and the kernel-accelerated vck
-    engine — both consume the same decomposition, per-address store
-    index, and candidate semantics (the vectorized path batches the
-    same interval queries; see :mod:`repro.core.kernels`).
+    Consumed by the vc engine's scalar loops and its kernel path alike:
+    both use the same decomposition, per-address store index, and
+    candidate semantics (the kernel path batches the same interval
+    queries; see :mod:`repro.core.kernels`).  The streaming engine
+    numbers its chains by the same keys, all of them up front
+    (:func:`chain_keys`).
     """
 
     def __init__(self, aprog: AnalysisProgram, model: MemoryModel) -> None:
         n = aprog.n
-        self.nodes: List[List[int]] = []
+        ops = aprog.ops
+        members: Dict[ChainKey, List[int]] = {}
+        for addr, root in aprog.roots.items():
+            members[(0, addr)] = [root]
+        for stream in aprog.per_proc:
+            for op_id in stream:
+                key = chain_key(model, ops[op_id])
+                members.setdefault(key, []).append(op_id)
+        self.nodes: List[List[int]] = [members[key] for key in sorted(members)]
         self.chain_of = [0] * n
         self.pos_of = [0] * n
-        for addr in sorted(aprog.roots):
-            self._new_chain([aprog.roots[addr]])
-        full_po = (
-            model.load_load and model.load_store
-            and model.store_store and model.store_load
-        )
-        for stream in aprog.per_proc:
-            if full_po:
-                self._new_chain(list(stream))
-                continue
-            ops = aprog.ops
-            if model.load_load:
-                self._new_chain([
-                    op_id for op_id in stream
-                    if ops[op_id].kind != OpKind.STORE
-                ])
-            else:
-                self._new_chain([
-                    op_id for op_id in stream
-                    if ops[op_id].kind == OpKind.MEMBAR
-                ])
-                for op_id in stream:
-                    if ops[op_id].kind == OpKind.LOAD:
-                        self._new_chain([op_id])
-            stores = [op_id for op_id in stream if ops[op_id].is_store]
-            if model.store_store:
-                self._new_chain(stores)
-            elif model.same_addr_store_store:
-                by_addr: Dict[int, List[int]] = {}
-                for store in stores:
-                    by_addr.setdefault(ops[store].addr, []).append(store)
-                for addr in sorted(by_addr):
-                    self._new_chain(by_addr[addr])
-            else:
-                for store in stores:
-                    self._new_chain([store])
+        for chain, nodes in enumerate(self.nodes):
+            for pos, node in enumerate(nodes):
+                self.chain_of[node] = chain
+                self.pos_of[node] = pos
         self.k = len(self.nodes)
         # Per-address store index: addr -> [(chain, sorted positions)],
         # the slices every R6/R7 interval query searches.
         self.addr_stores: Dict[int, List[Tuple[int, List[int]]]] = {}
         per_chain: Dict[Tuple[int, int], List[int]] = {}
-        for op in aprog.ops:
+        for op in ops:
             if op.is_store:
                 key = (op.addr, self.chain_of[op.id])
                 per_chain.setdefault(key, []).append(self.pos_of[op.id])
         for (addr, chain), positions in per_chain.items():
             positions.sort()
             self.addr_stores.setdefault(addr, []).append((chain, positions))
-
-    def _new_chain(self, members: List[int]) -> None:
-        if not members:
-            return
-        chain = len(self.nodes)
-        self.nodes.append(members)
-        for pos, node in enumerate(members):
-            self.chain_of[node] = chain
-            self.pos_of[node] = pos
 
 
 @dataclass

@@ -26,6 +26,10 @@ that consumes one dynamic record at a time:
   the violation the moment the closing edge is inserted, with the same
   cycle witness the batch engines produce — instead of at end of run.
 
+The rules, chains and edge insert are the batch engines' (see
+``docs/engines.md``); the admission order, the dirty-set fixed point,
+retirement and the guarded frontier floods are this module's own.
+
 **Frontier retirement** is what bounds live state (the windowed
 verification idea of Bui et al., PAPERS.md).  Once a node is ``window``
 admitted-ops old and no future R6/R7 candidate interval can be required
@@ -74,9 +78,15 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.engine import Checker, cycle_violation, precheck_violation
-from repro.core.graph import ConstraintGraph, CycleDetected, reorder
-from repro.core.policy import MemoryModel, TSO
+from repro.core.engine import (
+    Checker,
+    cycle_violation,
+    precheck_violation,
+    value_axiom_edges,
+)
+from repro.core.graph import ConstraintGraph, CycleDetected
+from repro.core.policy import MemoryModel, ProgramOrder, TSO
+from repro.core.prep import chain_key, chain_keys
 from repro.core.result import (
     CheckResult,
     CheckStats,
@@ -88,7 +98,6 @@ from repro.core.result import (
 from repro.model.expansion import (
     NO_GROUP,
     AnalysisProgram,
-    OpKind,
     StreamExpander,
 )
 from repro.model.trace import DynRecord
@@ -102,26 +111,8 @@ DEFAULT_WINDOW = 4096
 #: ``n + 1``, but a stream does not know its final ``n``).
 _INF = 1 << 60
 
-
-class _ProcState:
-    """Per-processor static-edge tracker, mirroring
-    :func:`repro.core.policy._program_order_edges` incrementally."""
-
-    __slots__ = (
-        "last_load", "last_store", "last_membar",
-        "unordered_stores", "last_store_to_addr", "prev_store_to_addr",
-    )
-
-    def __init__(self) -> None:
-        self.last_load: Optional[int] = None
-        self.last_store: Optional[int] = None
-        self.last_membar: Optional[int] = None
-        #: Stores since the last membar (store_store-relaxed models only).
-        self.unordered_stores: List[int] = []
-        #: Per-address last store (store_store-relaxed models only).
-        self.last_store_to_addr: Dict[int, int] = {}
-        #: Per-address last store under *any* model — the R5 ``S'``.
-        self.prev_store_to_addr: Dict[int, int] = {}
+#: An admitted op awaiting resolution, with its R5 ``S'`` (or ``None``).
+_Unsettled = Tuple[int, Optional[int]]
 
 
 class _StreamState:
@@ -144,11 +135,11 @@ class _StreamState:
         self.model = model
         self.stats = stats
         self.window = max(1, int(window))
-        self._full_po = (
+        full_po = (
             model.load_load and model.load_store
             and model.store_store and model.store_load
         )
-        if not self._full_po and not model.load_load:
+        if not full_po and not model.load_load:
             raise ValueError(
                 "the stream engine needs a chain decomposition of bounded "
                 "width known up front; models without load_load order are "
@@ -161,28 +152,12 @@ class _StreamState:
             )
         self.graph = ConstraintGraph(aprog)
 
-        # --- chain decomposition, pre-allocated so k is fixed ---------
+        # --- chain decomposition: every chain up front, so k is fixed --
         addresses = sorted(aprog.roots)
-        nprocs = aprog.nprocs
-        self._chain_members: List[List[int]] = []
-        self._root_chain: Dict[int, int] = {}
-        for addr in addresses:
-            self._root_chain[addr] = self._new_chain()
-        self._po_chain = [self._new_chain() for _ in range(nprocs)] \
-            if self._full_po else []
-        self._nonstore_chain = [] if self._full_po else [
-            self._new_chain() for _ in range(nprocs)
-        ]
-        self._store_chain: List[int] = []
-        self._addr_store_chain: Dict[Tuple[int, int], int] = {}
-        if not self._full_po:
-            if model.store_store:
-                self._store_chain = [self._new_chain() for _ in range(nprocs)]
-            else:
-                for pid in range(nprocs):
-                    for addr in addresses:
-                        self._addr_store_chain[(pid, addr)] = self._new_chain()
-        self._k = len(self._chain_members)
+        keys = chain_keys(model, aprog.nprocs, addresses)
+        self._chain_index = {key: chain for chain, key in enumerate(keys)}
+        self._chain_members: List[List[int]] = [[] for _ in keys]
+        self._k = len(keys)
 
         # --- per-node state (lists indexed by node id, grown on admit) -
         self._chain_of: List[int] = []
@@ -194,15 +169,14 @@ class _StreamState:
         self._admitted = 0
 
         # --- rule bookkeeping -----------------------------------------
-        self._procs: List[_ProcState] = [_ProcState() for _ in range(nprocs)]
+        self._orders = [ProgramOrder(model) for _ in range(aprog.nprocs)]
         self._group_prev: Dict[int, int] = {}
         #: addr -> chain -> sorted store positions (the R6/R7 index).
         self._addr_stores: Dict[int, Dict[int, List[int]]] = {}
-        #: (addr, value) -> loads awaiting their store.
-        self._pending: Dict[Tuple[int, int], List[int]] = {}
+        #: (addr, value) -> loads awaiting their store, each with its
+        #: R5 ``S'`` as captured at admit time.
+        self._pending: Dict[Tuple[int, int], List[_Unsettled]] = {}
         self._unresolved: Set[int] = set()
-        #: R5 ``S'`` captured at admit time, per load.
-        self._r5_prev: Dict[int, int] = {}
         #: R6 items: load -> [addr, target, target_first, per-chain
         #: [lo_floor, hi_seen] of the already-examined interval].  Edges
         #: are permanent and suppression only strengthens, so every
@@ -216,7 +190,8 @@ class _StreamState:
         self._r7_by_addr: Dict[int, Set[int]] = {}
         self._dirty_r6: Set[int] = set()
         self._dirty_r7: Set[int] = set()
-        self._unsettled: List[int] = []
+        #: Ops admitted since the last settle, each with its R5 ``S'``.
+        self._unsettled: List[_Unsettled] = []
 
         # --- retirement -----------------------------------------------
         self._live = 0
@@ -233,10 +208,6 @@ class _StreamState:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-
-    def _new_chain(self) -> int:
-        self._chain_members.append([])
-        return len(self._chain_members) - 1
 
     def _grow_node(self, node: int, chain: int) -> None:
         """Append per-node state for ``node`` on ``chain``."""
@@ -260,18 +231,9 @@ class _StreamState:
             self.stats.live_peak = self._live
 
     def _admit_root(self, node: int, addr: int) -> None:
-        self._grow_node(node, self._root_chain[addr])
+        self._grow_node(node, self._chain_index[(0, addr)])
         self._register_store_position(node, addr)
         self._last_store[addr] = node
-
-    def _chain_for(self, op) -> int:
-        if self._full_po:
-            return self._po_chain[op.proc]
-        if op.is_store:
-            if self.model.store_store:
-                return self._store_chain[op.proc]
-            return self._addr_store_chain[(op.proc, op.addr)]
-        return self._nonstore_chain[op.proc]
 
     def _register_store_position(self, node: int, addr: int) -> None:
         chain = self._chain_of[node]
@@ -287,9 +249,10 @@ class _StreamState:
         op = self.aprog.ops[op_id]
         if self.graph.n <= op_id:
             self.graph.grow()
-        self._grow_node(op_id, self._chain_for(op))
+        self._grow_node(op_id, self._chain_index[chain_key(self.model, op)])
         self._retire_q.append(op_id)
-        static: List[Tuple[int, str]] = list(self._static_in_edges(op))
+        order = self._orders[op.proc]
+        static = order.in_edges(op)
         if op.group != NO_GROUP:
             prev = self._group_prev.get(op.group)
             if prev is not None:
@@ -297,62 +260,16 @@ class _StreamState:
             self._group_prev[op.group] = op_id
         if op.is_store:
             static.append((self.aprog.roots[op.addr], "init"))
-            self._register_store_position(op_id, op.addr)
-            self._note_new_store(op_id, op.addr)
         for u, rule in static:
             if self._add_edge(u, op_id, program_order_reason(rule)):
                 self.stats.static_edges += 1
-        self._unsettled.append(op_id)
-
-    def _static_in_edges(self, op) -> List[Tuple[int, str]]:
-        """R1–R3 in-edges for ``op``; mirrors
-        :func:`repro.core.policy._program_order_edges` one op at a time."""
-        model = self.model
-        state = self._procs[op.proc]
-        out: List[Tuple[int, str]] = []
-        kind = op.kind
-        if kind == OpKind.LOAD:
-            if model.load_load and state.last_load is not None:
-                out.append((state.last_load, "R1"))
-            if model.store_load and state.last_store is not None:
-                out.append((state.last_store, "R2"))
-            if state.last_membar is not None:
-                out.append((state.last_membar, "R3"))
-            state.last_load = op.id
-        elif kind == OpKind.STORE:
-            if model.load_store and state.last_load is not None:
-                out.append((state.last_load, "R1"))
-            if model.store_store and state.last_store is not None:
-                out.append((state.last_store, "R2"))
-            if state.last_membar is not None:
-                out.append((state.last_membar, "R3"))
-            if not model.store_store:
-                state.unordered_stores.append(op.id)
-                if model.same_addr_store_store:
-                    prev_same = state.last_store_to_addr.get(op.addr)
-                    if prev_same is not None:
-                        out.append((prev_same, "R2"))
-                    state.last_store_to_addr[op.addr] = op.id
-            state.last_store = op.id
-        else:  # MEMBAR
-            if state.last_load is not None:
-                out.append((state.last_load, "R3"))
-            if model.store_store:
-                if state.last_store is not None:
-                    out.append((state.last_store, "R3"))
-            else:
-                out.extend((store, "R3") for store in state.unordered_stores)
-                state.unordered_stores.clear()
-            if state.last_membar is not None:
-                out.append((state.last_membar, "R3"))
-            state.last_membar = op.id
-        if kind == OpKind.LOAD:
-            prev = state.prev_store_to_addr.get(op.addr)
-            if prev is not None:
-                self._r5_prev[op.id] = prev
-        elif kind == OpKind.STORE:
-            state.prev_store_to_addr[op.addr] = op.id
-        return out
+        # Only now, with the store's program-order in-edges in place,
+        # can the targeted R7 scan see which observers already reach it.
+        if op.is_store:
+            self._register_store_position(op_id, op.addr)
+            self._note_new_store(op_id, op.addr)
+        s_prime = order.last_store_to.get(op.addr) if op.is_load else None
+        self._unsettled.append((op_id, s_prime))
 
     def _note_new_store(self, store: int, addr: int) -> None:
         """Retirement + R7 bookkeeping for a newly admitted store."""
@@ -415,56 +332,37 @@ class _StreamState:
         """
         unsettled, self._unsettled = self._unsettled, []
         admitted_limit = len(self._ord)
-        for op_id in unsettled:
+        for op_id, s_prime in unsettled:
             op = self.aprog.ops[op_id]
             if op.is_load:
                 key = (op.addr, op.value)
                 target = self.aprog.value_map.get(key)
                 if target is not None and target < admitted_limit:
-                    self._resolve(op_id, target)
+                    self._resolve(op_id, target, s_prime)
                 else:
-                    self._pending.setdefault(key, []).append(op_id)
+                    self._pending.setdefault(key, []).append((op_id, s_prime))
                     self._unresolved.add(op_id)
             elif op.is_store:
-                for load in self._pending.pop((op.addr, op.value), ()):
+                pending = self._pending.pop((op.addr, op.value), ())
+                for load, load_s_prime in pending:
                     self._unresolved.discard(load)
                     if load in self._parked_pending:
                         # Give the late-resolving load a fresh window.
                         self._parked_pending.discard(load)
                         self._admit_stamp[load] = self._admitted
                         self._retire_q.append(load)
-                    self._resolve(load, op_id)
+                    self._resolve(load, op_id, load_s_prime)
         self._drain()
         self._retire_sweep()
 
-    def _resolve(self, load: int, target: int) -> None:
+    def _resolve(
+        self, load: int, target: int, s_prime: Optional[int]
+    ) -> None:
         """A load's observed store is known: R4/R5 edges, R6/R7 items."""
         aprog = self.aprog
         op = aprog.ops[load]
-        s_op = aprog.ops[target]
-        same_proc_earlier = (
-            s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po
-        )
-        if not same_proc_earlier:
-            reason = EdgeReason(
-                "R4",
-                f"{aprog.describe(load)} observed the value of "
-                f"{aprog.describe(target)}, which is not an earlier store of "
-                "the same processor, so the store must be globally visible "
-                "before the load binds (Value axiom)",
-            )
-            if self._add_edge(target, load, reason):
-                self.stats.observed_edges += 1
-        s_prime = self._r5_prev.pop(load, None)
-        if s_prime is not None and s_prime != target:
-            reason = EdgeReason(
-                "R5",
-                f"{aprog.describe(load)} observed {aprog.describe(target)} "
-                f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-                "by the Value axiom that earlier store must be globally "
-                "ordered before the observed one",
-            )
-            if self._add_edge(s_prime, target, reason):
+        for u, v, reason in value_axiom_edges(aprog, load, target, s_prime):
+            if self._add_edge(u, v, reason):
                 self.stats.observed_edges += 1
         self._r6_items[load] = [op.addr, target, aprog.group_first(target), {}]
         self._dirty_r6.add(load)
@@ -640,28 +538,25 @@ class _StreamState:
         return queries
 
     # ------------------------------------------------------------------
-    # Incremental edge insertion (adapted from repro.core.vc)
+    # Incremental edge insertion
     # ------------------------------------------------------------------
 
     def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """Insert ``u -> v``; keep order + frontiers current.
+        """Insert ``u -> v`` in the graph and its online order, then
+        flood both frontiers from the stored edge.
+
+        The order covers every node ever admitted — retirement drops
+        vectors, never order indices — so detection stays exact across
+        retired epochs.
 
         Raises:
             CycleDetected: the redirected edge closes a cycle.
         """
-        graph = self.graph
-        u, v = graph.redirect(u, v)
-        if u == v:
-            raise CycleDetected(u, v)
-        if graph.has_edge(u, v):
+        edge = self.graph.insert(u, v, reason, self._ord, self.stats)
+        if edge is None:
             return False
-        # The order covers every node ever admitted — retirement drops
-        # vectors, never order indices — so detection stays exact across
-        # retired epochs.
-        reorder(graph, self._ord, u, v, reason, self.stats)
-        graph.add_edge(u, v, reason)
-        self._push_forward(u, v)
-        self._push_backward(u, v)
+        self._push_forward(*edge)
+        self._push_backward(*edge)
         return True
 
     def _push_forward(self, u: int, v: int) -> None:

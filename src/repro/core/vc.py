@@ -1,21 +1,21 @@
 """The incremental checker engine: vector-clock frontiers + online
 topological order.
 
-Fourth implementation of the Fig. 2 rules (R1–R7), built on the
-observation of Roy et al., *Fast and Generalized Polynomial Time Memory
-Consistency Verification* (the Intel follow-up to TSOtool): program
-order totally orders large slices of the analysis graph, so "the set of
-nodes that reaches v" does not need an n-bit set — it is captured
-exactly by a short *frontier vector* with one entry per totally ordered
-**chain** of nodes.
+The scalar loops of the default ``vc`` engine (and its path below
+:attr:`~repro.core.vck.AdaptiveVectorChecker.kernel_min_nodes`), built
+on the observation of Roy et al., *Fast and Generalized Polynomial Time
+Memory Consistency Verification* (the Intel follow-up to TSOtool):
+program order totally orders large slices of the analysis graph, so
+"the set of nodes that reaches v" does not need an n-bit set — it is
+captured exactly by a short *frontier vector* with one entry per
+totally ordered **chain** of nodes.
 
 Chains are carved out of the static program-order edges the memory
-model guarantees (see :class:`repro.core.prep.Chains`): under TSO
-each processor
-contributes one load(+membar) chain and one store chain, each synthetic
-root store is its own singleton chain, so ``k ≈ 2·procs + addrs`` —
-two orders of magnitude below the node count at the paper's operating
-point.  Because every chain is a path in the constraint graph, "chain
+model guarantees (see :class:`repro.core.prep.Chains`): under TSO each
+processor contributes one load(+membar) chain and one store chain, and
+each synthetic root store is its own singleton chain, so
+``k ≈ 2·procs + addrs`` — two orders of magnitude below the node count
+at the paper's operating point.  Because every chain is a path in the constraint graph, "chain
 ``c``'s members that reach ``v``" is always a *prefix* of ``c``; the
 frontier entry stores just the prefix length.  This buys the three
 things the per-pass engines pay for repeatedly:
@@ -38,11 +38,12 @@ things the per-pass engines pay for repeatedly:
   regardless of how many fixed-point passes run, where the per-pass
   engines pay an O(E·n/w) rebuild each iteration.
 
-Atomic-group redirection and the R5 ``S';L`` subtlety are inherited
-bit-for-bit: edges are stored in the same :class:`ConstraintGraph`
-(which performs the paper's redirection), and the R1–R5 seeding is the
-shared one of :class:`repro.core.engine.Checker`.  Verdict agreement
-with the other engines is enforced by ``tests/test_properties.py``.
+Atomic-group redirection and the R5 ``S';L`` subtlety are shared
+bit-for-bit: the R1–R5 seeding is the one of
+:class:`repro.core.engine.Checker`, and every edge goes through
+:meth:`ConstraintGraph.insert`, which performs the paper's redirection
+and the Pearce–Kelly step.  Verdict agreement with the other engines is
+enforced by ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import Checker
-from repro.core.graph import ConstraintGraph, CycleDetected, reorder
+from repro.core.graph import ConstraintGraph
 from repro.core.prep import Chains, EnginePrep, prepare
 from repro.core.result import CheckStats, EdgeReason, InferredReason, Violation
 from repro.model.expansion import AnalysisProgram
@@ -246,26 +247,19 @@ class VectorClockChecker(Checker):
     # ------------------------------------------------------------------
 
     def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """Insert ``u -> v``; keep order + frontiers current.
+        """Insert ``u -> v`` in the graph and its online order
+        (:meth:`~repro.core.graph.ConstraintGraph.insert`), then flood
+        both frontiers from the stored edge.
 
         Raises:
             CycleDetected: the redirected edge closes a cycle (found by
                 the Pearce–Kelly forward search, or as a self-loop).
         """
-        graph = self._graph
-        u, v = graph.redirect(u, v)
-        if u == v:
-            raise CycleDetected(u, v)
-        if graph.has_edge(u, v):
+        edge = self._graph.insert(u, v, reason, self._ord, self._stats)
+        if edge is None:
             return False
-        # Order-compatible edges (the overwhelming majority) skip the
-        # Pearce–Kelly call entirely; reorder() repeats this guard for
-        # callers that reach it directly.
-        if self._ord[u] >= self._ord[v]:
-            reorder(graph, self._ord, u, v, reason, self._stats)
-        graph.add_redirected(u, v, reason)
-        self._push_forward(u, v)
-        self._push_backward(u, v)
+        self._push_forward(*edge)
+        self._push_backward(*edge)
         return True
 
     def _push_forward(self, u: int, v: int) -> None:

@@ -1,14 +1,14 @@
 """The kernel-accelerated checker engine (``--engine vck``), and the
 kernel path of the default ``vc`` engine on large programs.
 
-Sixth implementation of the Fig. 2 rules: the vc engine's algorithm —
-chain frontiers, Pearce–Kelly online cycle detection — re-expressed
-over the batched compute layer in :mod:`repro.core.kernels`.  The
-candidate semantics and witness format are identical to
-:class:`VectorClockChecker` (this class inherits its edge insertion and
-Pearce–Kelly reordering, and the witness comes from the shared
-:class:`repro.core.engine.Checker`); what changes is how the hot loops
-execute:
+The vc engine's algorithm — chain frontiers, Pearce–Kelly online cycle
+detection — re-expressed over the batched compute layer in
+:mod:`repro.core.kernels`.  The candidate semantics and witness format
+are identical to :class:`VectorClockChecker`: this class inherits its
+edge insertion (:meth:`~repro.core.graph.ConstraintGraph.insert`, then
+the two frontier pushes, which it overrides), and the witness comes
+from the shared :class:`repro.core.engine.Checker`.  What changes is
+how the hot loops execute:
 
 * **Frontier state is two ``(n, k)`` int32 numpy matrices** (``m_to``:
   highest chain positions reaching each node, ``m_from``: lowest
@@ -27,7 +27,7 @@ execute:
   watermark-delta'd (a candidate missed while a bound is stale is
   found after the next refresh; monotone frontiers + permanent edges),
   and cycle detection never depends on frontier freshness at all: the
-  inherited Pearce–Kelly reorder detects the cycle exactly at the
+  shared insert's Pearce–Kelly step detects the cycle exactly at the
   closing edge, producing the same witness as vc.  Between-refresh
   staleness can only cost redundant (implied, hence true) edges.
 * **R6/R7 discovery is batched per address per round.**  Instead of two
@@ -63,9 +63,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.graph import ConstraintGraph, CycleDetected, reorder
+from repro.core.graph import ConstraintGraph
 from repro.core.prep import EnginePrep
-from repro.core.result import CheckStats, EdgeReason, InferredReason, Violation
+from repro.core.result import CheckStats, InferredReason, Violation
 from repro.core.vc import VectorClockChecker
 from repro.model.expansion import AnalysisProgram
 
@@ -127,40 +127,6 @@ class KernelVectorChecker(VectorClockChecker):
         m_from = self._m_from
         kernels.np.minimum(m_from[u], m_from[v], out=m_from[u])
         self._bwd_dirty.append(u)
-
-    def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """vc's insert with redirection and the row merges inlined.
-
-        Identical semantics to the inherited path; the ~20k R6/R7
-        inserts per round make the redirect/add/push call fan-out a
-        measurable cost, so this flattens them into one frame.
-        """
-        if not self._use_kernels:
-            return super()._add_edge(u, v, reason)
-        graph = self._graph
-        gu = graph._group[u]
-        if gu == -1 or gu != graph._group[v]:
-            u = graph._red_src[u]
-            v = graph._red_dst[v]
-        if u == v:
-            raise CycleDetected(u, v)
-        key = (u, v)
-        reasons = graph.reasons
-        if key in reasons:
-            return False
-        if self._ord[u] >= self._ord[v]:
-            reorder(graph, self._ord, u, v, reason, self._stats)
-        reasons[key] = reason
-        graph.succ[u].append(v)
-        graph.pred[v].append(u)
-        graph.edge_count += 1
-        m_to = self._m_to
-        m_from = self._m_from
-        kernels.np.maximum(m_to[v], m_to[u], out=m_to[v])
-        kernels.np.minimum(m_from[u], m_from[v], out=m_from[u])
-        self._fwd_dirty.append(v)
-        self._bwd_dirty.append(u)
-        return True
 
     def _refresh(self, graph: ConstraintGraph, stats: CheckStats) -> None:
         """Re-close both frontier matrices after a round of inserts.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.api import check
 from repro.core.graph import ConstraintGraph, CycleDetected
-from repro.core.result import EdgeReason
+from repro.core.result import CheckStats, EdgeReason
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.sim.machine import TsoMachine
@@ -43,10 +43,67 @@ class TestAddEdge:
         first = EdgeReason("R4", "first")
         assert g.add_edge(1, 2, first) is True
         assert g.add_edge(1, 2, EdgeReason("R6")) is False
-        assert g.add_redirected(1, 2, EdgeReason("R7")) is False
+        order = [0, 1, 2]
+        assert g.insert(1, 2, EdgeReason("R7"), order, CheckStats()) is None
         assert g.reason_of(1, 2) is first
         assert g.succ[1] == [2] and g.pred[2] == [1]
         assert g.edge_count == len(g.reasons) == 1
+
+
+def _ordered(text):
+    """A graph over ``text`` with its identity order as per-node indices."""
+    aprog, g = _graph(text)
+    return aprog, g, list(range(g.n))
+
+
+def _is_topological(g, order):
+    return all(order[u] < order[v] for u in range(g.n) for v in g.succ[u])
+
+
+class TestOrderedInsert:
+    def test_self_loop_raises(self):
+        _, g, order = _ordered("P0: S[A]#1 ; S[B]#2")
+        with pytest.raises(CycleDetected):
+            g.insert(1, 1, R, order, CheckStats())
+        assert g.edge_count == 0
+
+    def test_duplicate_returns_none_and_changes_nothing(self):
+        _, g, order = _ordered("P0: S[A]#1 ; S[B]#2 ; S[A]#3")
+        stats = CheckStats()
+        assert g.insert(3, 1, R, order, stats) == (3, 1)
+        before = list(order)
+        assert g.insert(3, 1, EdgeReason("R7"), order, stats) is None
+        assert order == before
+        assert g.edge_count == 1 and g.reason_of(3, 1) is R
+
+    def test_order_incompatible_insert_keeps_order_topological(self):
+        _, g, order = _ordered("P0: S[A]#1 ; S[B]#2 ; S[A]#3 ; S[B]#4")
+        stats = CheckStats()
+        g.insert(2, 3, R, order, stats)
+        g.insert(3, 4, R, order, stats)
+        assert stats.reorder_visits == 0  # both agree with the order
+        assert g.insert(4, 1, R, order, stats) == (4, 1)
+        assert stats.reorder_visits > 0
+        assert _is_topological(g, order)
+        assert sorted(order) == list(range(g.n))
+
+    def test_closing_edge_is_recorded_then_raises(self):
+        _, g, order = _ordered("P0: S[A]#1 ; S[B]#2 ; S[A]#3")
+        stats = CheckStats()
+        g.insert(1, 2, R, order, stats)
+        g.insert(2, 3, R, order, stats)
+        closing = EdgeReason("R7", "closes it")
+        with pytest.raises(CycleDetected) as exc:
+            g.insert(3, 1, closing, order, stats)
+        assert (exc.value.u, exc.value.v) == (3, 1)
+        assert g.reason_of(3, 1) is closing
+        assert g.cycle_through_edge(3, 1) == [1, 2, 3]
+
+    def test_edge_inside_one_group_is_not_redirected(self):
+        aprog, g, order = _ordered("P0: SWAP[A]=0,#1")
+        swap_load, swap_store = aprog.per_proc[0]
+        edge = g.insert(swap_load, swap_store, R, order, CheckStats())
+        assert edge == (swap_load, swap_store)
 
 
 @pytest.mark.parametrize(

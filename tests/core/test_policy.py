@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core.policy import PSO, SC, TSO, MemoryModel, static_edges
-from repro.model.expansion import OpKind
-from tests.util import litmus_aprog
+from repro.core.engine import po_prev_stores
+from repro.core.policy import (
+    PSO,
+    SC,
+    TSO,
+    MemoryModel,
+    ProgramOrder,
+    static_edges,
+)
+from repro.model.expansion import OpKind, expand
+from tests.util import golden_run, litmus_aprog
 
 
 def _edges(text, model):
@@ -122,3 +130,40 @@ class TestCustomModel:
         aprog, edges = _edges("P0: L[A]=0 ; S[B]#1 ; S[B]#2 ; L[B]=2", rmo)
         rules = {r for _, _, r in edges}
         assert "R1" not in rules and "R2" not in rules
+
+
+class TestProgramOrderTracker:
+    """The streaming engine feeds :class:`ProgramOrder` ops as they
+    arrive, processors interleaved; the batch path feeds whole streams."""
+
+    @pytest.mark.parametrize("model", [TSO, SC, PSO], ids=str)
+    def test_interleaved_feeding_matches_static_edges(self, model):
+        program, execution, _ = golden_run(3)
+        aprog = expand(
+            execution, initial=program.initial, word_names=program.word_names
+        )
+        orders = [ProgramOrder(model) for _ in aprog.per_proc]
+        fed = []
+        for op in aprog.ops:  # record order interleaves processors
+            if not op.is_root:
+                edges = orders[op.proc].in_edges(op)
+                fed += [(u, op.id, rule) for u, rule in edges]
+        expected = [
+            edge for edge in static_edges(aprog, model)
+            if edge[2] in ("R1", "R2", "R3")
+        ]
+        assert sorted(fed) == sorted(expected)
+
+    def test_last_store_to_is_r5_s_prime(self):
+        program, execution, _ = golden_run(4)
+        aprog = expand(
+            execution, initial=program.initial, word_names=program.word_names
+        )
+        expected = po_prev_stores(aprog)
+        for stream in aprog.per_proc:
+            order = ProgramOrder(TSO)
+            for op_id in stream:
+                op = aprog.ops[op_id]
+                order.in_edges(op)
+                if op.is_load:
+                    assert order.last_store_to.get(op.addr) == expected.get(op_id)

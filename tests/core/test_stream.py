@@ -16,8 +16,11 @@ Four concerns, in rising order of streaming-specificity:
   machine via the observer hook yields the same trace ``run()`` returns.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.campaign import CampaignConfig
 from repro.core.api import check
 from repro.core.policy import PSO, SC, TSO, MemoryModel
 from repro.core.result import ViolationKind
@@ -53,6 +56,30 @@ class TestBatchParity:
         assert len(stream.violation.cycle) >= 2
         assert len(stream.violation.reasons) == len(stream.violation.cycle)
         assert "cycle" in stream.explain()
+
+    @pytest.mark.parametrize("model", [TSO, SC, PSO], ids=str)
+    def test_program_order_edges_keep_their_rules(self, model):
+        # A new store's targeted R7 scan runs after its program-order
+        # in-edges are in, so none of those edges is inserted as R7.
+        config = dataclasses.replace(
+            CampaignConfig().generator, nprocs=3, ops_per_proc=30
+        )
+        static_rules = {"R1", "R2", "R3", "atomic", "init"}
+        compared = 0
+        for seed in range(0, 30, 2):
+            program = generate_program(config, seed=seed)
+            execution = TsoMachine(program, seed=seed).run()
+            vc = check(program, execution, model=model, engine="vc")
+            stream = check(program, execution, model=model, engine="stream")
+            assert stream.ok == vc.ok
+            if not vc.ok:
+                continue
+            compared += 1
+            assert stream.stats.static_edges == vc.stats.static_edges
+            for edge, reason in vc.graph.reasons.items():
+                if reason.rule in static_rules:
+                    assert stream.graph.reasons[edge].rule == reason.rule
+        assert compared
 
     def test_unmapped_value_kind_matches_batch(self):
         result = StreamingChecker().run(litmus_aprog("P0: L[A]=42"))

@@ -10,6 +10,7 @@ edges by node id must render exactly the texts below.
 import pytest
 
 from repro.core.api import check_litmus
+from repro.core.policy import PSO
 from repro.core.result import EdgeReason, InferredReason, program_order_reason
 from repro.generator.litmus import litmus_by_name
 
@@ -108,6 +109,35 @@ cycle 2 3 4 5 6
 """
 
 
+#: Two swaps under PSO: each cycle edge into or out of a swap is
+#: redirected to the group's first or last node, so the witness below
+#: passes through both atomic groups.
+PSO_SWAPS = "P0: SWAP[A]=0,#1 ; L[B]=0\nP1: SWAP[B]=0,#1 ; L[A]=0"
+
+PSO_SWAPS_EXPLAIN = """\
+PSO check: FAIL (8 nodes, 8 edges, 1 iterations, engine={engine})
+violation: the inferred global memory order contains a cycle of 6 operation(s): P1.0 L[B]=0 <= P1.1 S[B]#1 <= P1.2 L[A]=0 <= P0.0 L[A]=0 <= P0.1 S[A]#1 <= P0.2 L[B]=0 <= P1.0 L[B]=0
+cycle in the inferred global memory order:
+  P1.0 L[B]=0  <=  P1.1 S[B]#1    [R1: program order]
+  P1.1 S[B]#1  <=  P1.2 L[A]=0    [R1: program order]
+  P1.2 L[A]=0  <=  P0.0 L[A]=0    [R7: load n7 observed store n0, which precedes store n3 (Value axiom)]
+  P0.0 L[A]=0  <=  P0.1 S[A]#1    [R1: program order]
+  P0.1 S[A]#1  <=  P0.2 L[B]=0    [R1: program order]
+  P0.2 L[B]=0  <=  P1.0 L[B]=0    [R7: load n4 observed store n1, which precedes store n6 (Value axiom)]
+"""
+
+#: The streaming engine closes a shorter cycle through P0's swap: the
+#: ``init`` edge into its store half lands on the load half.
+PSO_SWAPS_STREAM_EXPLAIN = """\
+PSO check: FAIL (8 nodes, 9 edges, 3 iterations, engine=stream)
+violation: the inferred global memory order contains a cycle of 3 operation(s): init[A]#0 <= P0.0 L[A]=0 <= P0.1 S[A]#1 <= init[A]#0
+cycle in the inferred global memory order:
+  init[A]#0  <=  P0.0 L[A]=0    [init: program order]
+  P0.0 L[A]=0  <=  P0.1 S[A]#1    [R1: program order]
+  P0.1 S[A]#1  <=  init[A]#0    [R6: store n3 precedes load n7, which observed store n0 (Value axiom)]
+"""
+
+
 def _result(engine):
     return check_litmus(litmus_by_name("R").text, engine=engine)
 
@@ -136,6 +166,17 @@ def test_witness_text_matches_across_engines(engine):
 def test_stream_explain_is_pinned():
     # The streaming engine closes the same cycle at a different edge.
     assert _result("stream").explain() + "\n" == STREAM_EXPLAIN
+
+
+@pytest.mark.parametrize("engine", ["vc", "vck"])
+def test_pso_atomic_group_witness_is_pinned(engine):
+    result = check_litmus(PSO_SWAPS, model=PSO, engine=engine)
+    assert result.explain() + "\n" == PSO_SWAPS_EXPLAIN.format(engine=engine)
+
+
+def test_stream_pso_atomic_group_witness_is_pinned():
+    result = check_litmus(PSO_SWAPS, model=PSO, engine="stream")
+    assert result.explain() + "\n" == PSO_SWAPS_STREAM_EXPLAIN
 
 
 def test_lazy_reason_equals_its_eager_text():
