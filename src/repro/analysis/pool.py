@@ -22,7 +22,10 @@ there is no window in which a task can be lost between a shared queue
 and a crash.  A pipe that fails mid-task is treated exactly like a
 worker death (the process may well still be alive with the fd gone):
 the worker is killed, the task retried or recorded hung, and a
-replacement spawned — never polled again.
+replacement spawned — never polled again.  The workers belong to a
+:class:`WorkerPool`, which a caller running many batches can hold
+across :func:`run_tasks` calls; a call without one uses a pool of its
+own for its duration.
 
 With ``workers <= 1`` everything runs inline in the parent process (no
 multiprocessing at all), which is the default.  The inline path applies
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import os
 import sys
 import time
 import warnings
@@ -60,6 +64,9 @@ _POLL_INTERVAL = 0.05
 
 #: Grace period for workers to exit after the shutdown sentinel.
 _SHUTDOWN_GRACE = 2.0
+
+#: How often (seconds) an idle worker checks that its parent is alive.
+_ORPHAN_CHECK = 1.0
 
 
 @dataclass(frozen=True)
@@ -159,18 +166,21 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 def _worker_main(
     worker_id: int,
-    fn: Callable[[Any], Any],
     conn: "multiprocessing.connection.Connection",
 ) -> None:
     """Worker loop: receive one task at a time, run it, send the result.
 
-    Messages to the parent are ``(index, "done", seconds, cpu_seconds,
-    value)`` or ``(index, "error", seconds, cpu_seconds, repr)``; a
-    ``None`` task is the shutdown sentinel.  The echoed task index is
-    the parent's staleness check: a reply that does not name the task
-    the parent believes this worker is running (a late or duplicate
-    send) is dropped, never misattributed to whatever task the worker
-    holds now.
+    Each message from the parent is ``(ticket, fn, task)``: the function
+    travels with the task, so one long-lived worker serves successive
+    :func:`run_tasks` calls with different functions.  Replies are
+    ``(ticket, "done", seconds, cpu_seconds, value)`` or ``(ticket,
+    "error", seconds, cpu_seconds, repr)``; a ``None`` message is the
+    shutdown sentinel.  The echoed ticket (unique per assignment within
+    a :class:`WorkerPool`) is the parent's staleness check: a reply that
+    does not name the assignment the parent believes this worker is
+    running (a late or duplicate send, even one left over from an
+    earlier call) is dropped, never misattributed to whatever task the
+    worker holds now.
 
     Telemetry: the worker attaches to the campaign's JSONL sink (path
     inherited through the environment) and flushes its cumulative
@@ -178,14 +188,22 @@ def _worker_main(
     ``atexit``, so per-task flushes are the durability story.
     """
     telemetry.init_worker()
+    parent = os.getppid()
     while True:
         try:
+            if not conn.poll(_ORPHAN_CHECK):
+                # A parent killed outright sends no sentinel, and a
+                # sibling forked later holds a copy of this pipe's parent
+                # end, so EOF may never come: notice the death instead.
+                if os.getppid() != parent:
+                    return
+                continue
             item = conn.recv()
         except (EOFError, OSError):
             return
         if item is None:
             return
-        index, task = item
+        ticket, fn, task = item
         start = time.perf_counter()
         cpu_start = time.process_time()
         try:
@@ -193,13 +211,13 @@ def _worker_main(
         except BaseException as exc:  # noqa: BLE001 - report, parent decides
             telemetry.get_telemetry().flush()
             conn.send((
-                index, "error", time.perf_counter() - start,
+                ticket, "error", time.perf_counter() - start,
                 time.process_time() - cpu_start, repr(exc),
             ))
         else:
             telemetry.get_telemetry().flush()
             conn.send((
-                index, "done", time.perf_counter() - start,
+                ticket, "done", time.perf_counter() - start,
                 time.process_time() - cpu_start, value,
             ))
 
@@ -207,13 +225,13 @@ def _worker_main(
 class _Worker:
     """Parent-side handle: process, pipe, and the task it is running."""
 
-    def __init__(self, worker_id: int, ctx, fn: Callable[[Any], Any]) -> None:
+    def __init__(self, worker_id: int, ctx) -> None:
         self.id = worker_id
         parent_conn, child_conn = ctx.Pipe()
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, fn, child_conn),
+            args=(worker_id, child_conn),
             daemon=True,
             name=f"tsotool-pool-{worker_id}",
         )
@@ -221,12 +239,15 @@ class _Worker:
         # The parent's copy of the child end must close so worker death
         # surfaces as EOF on self.conn.
         child_conn.close()
-        #: (task index, attempt, monotonic start) while busy, else None.
-        self.busy: Optional[Tuple[int, int, float]] = None
+        #: (task index, attempt, monotonic start, ticket) while busy.
+        self.busy: Optional[Tuple[int, int, float, int]] = None
 
-    def assign(self, index: int, attempt: int, task: Any) -> None:
-        self.conn.send((index, task))
-        self.busy = (index, attempt, time.monotonic())
+    def assign(
+        self, ticket: int, index: int, attempt: int,
+        fn: Callable[[Any], Any], task: Any,
+    ) -> None:
+        self.busy = (index, attempt, time.monotonic(), ticket)
+        self.conn.send((ticket, fn, task))
 
     def kill(self) -> None:
         """Terminate immediately (timeout path) and reap the process."""
@@ -250,6 +271,53 @@ class _Worker:
             self.conn.close()
 
 
+class WorkerPool:
+    """Worker processes that successive :func:`run_tasks` calls share.
+
+    A caller that runs many small batches (the campaign service runs one
+    per scheduling round) holds one pool for all of them instead of
+    forking and reaping workers per batch.  Workers start lazily, up to
+    ``size`` and no more than a call has tasks; a worker that dies or is
+    killed for a timeout is replaced within the call that saw it.  Use
+    as a context manager, or call :meth:`shutdown`.
+    """
+
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise ValueError("a worker pool needs at least one worker")
+        self.size = size
+        self._ctx = _mp_context()
+        self.workers: Dict[int, _Worker] = {}
+        self._next_id = 0
+        self._next_ticket = 0
+
+    def spawn(self) -> _Worker:
+        worker = _Worker(self._next_id, self._ctx)
+        self.workers[worker.id] = worker
+        self._next_id += 1
+        return worker
+
+    def discard(self, worker: _Worker) -> None:
+        """Kill a worker and forget it."""
+        del self.workers[worker.id]
+        worker.kill()
+
+    def ticket(self) -> int:
+        self._next_ticket += 1
+        return self._next_ticket
+
+    def shutdown(self) -> None:
+        for worker in list(self.workers.values()):
+            worker.shutdown()
+        self.workers.clear()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.shutdown()
+
+
 def run_tasks(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
@@ -260,11 +328,13 @@ def run_tasks(
     labels: Optional[Sequence[str]] = None,
     progress: Optional[ProgressFn] = None,
     on_result: Optional[ResultFn] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Tuple[List[Optional[Any]], PoolStats]:
     """Run ``fn`` over ``tasks``, optionally sharded across processes.
 
     Args:
-        fn: a picklable (module-level) function of one task.
+        fn: a picklable (module-level) function of one task; it is sent
+            to the workers with every task.
         tasks: picklable task specs; each must fully determine its own
             result (carry its own seed) so ordering cannot matter.
         workers: process count; ``<= 1`` runs inline with no
@@ -288,6 +358,10 @@ def run_tasks(
             persist results incrementally (the campaign service's
             crash-safe store depends on it); hung tasks never reach it.
             An exception raised by the callback aborts the batch.
+        pool: a :class:`WorkerPool` to run on, kept alive after the
+            call; its ``size`` replaces ``workers``.  Without one, a
+            ``workers > 1`` call starts its own pool and shuts it down
+            before returning.
 
     Returns:
         ``(results, stats)`` where ``results[i]`` is ``fn(tasks[i])`` or
@@ -298,7 +372,9 @@ def run_tasks(
     names = [str(t) for t in tasks] if labels is None else list(labels)
     if len(names) != len(tasks):
         raise ValueError("labels must match tasks one-to-one")
-    if workers <= 1 and task_timeout is not None:
+    if pool is not None:
+        workers = pool.size
+    elif workers <= 1 and task_timeout is not None:
         warnings.warn(
             f"task_timeout={task_timeout} has no effect with "
             f"workers={workers}: the inline path cannot kill an overdue "
@@ -312,16 +388,23 @@ def run_tasks(
     with telemetry.span(
         "pool.batch", workers=stats.workers, tasks=len(tasks)
     ):
-        if workers <= 1:
+        if pool is not None:
+            _run_pool(
+                fn, tasks, names, results, stats, pool,
+                task_timeout=task_timeout, retries=retries,
+                progress=progress, on_result=on_result,
+            )
+        elif workers <= 1:
             _run_inline(
                 fn, tasks, names, results, stats, retries, progress, on_result
             )
         else:
-            _run_pool(
-                fn, tasks, names, results, stats,
-                workers=workers, task_timeout=task_timeout,
-                retries=retries, progress=progress, on_result=on_result,
-            )
+            with WorkerPool(workers) as owned:
+                _run_pool(
+                    fn, tasks, names, results, stats, owned,
+                    task_timeout=task_timeout, retries=retries,
+                    progress=progress, on_result=on_result,
+                )
     stats.wall_seconds = time.perf_counter() - start
     return results, stats
 
@@ -381,16 +464,14 @@ def _run_pool(
     names: List[str],
     results: List[Optional[Any]],
     stats: PoolStats,
+    pool: WorkerPool,
     *,
-    workers: int,
     task_timeout: Optional[float],
     retries: int,
     progress: Optional[ProgressFn],
     on_result: Optional[ResultFn] = None,
 ) -> None:
-    """The multiprocessing path of :func:`run_tasks`."""
-    ctx = _mp_context()
-    nworkers = min(workers, len(tasks)) or 1
+    """The multiprocessing path of :func:`run_tasks`, on ``pool``."""
     tel = telemetry.get_telemetry()
     #: FIFO of (index, attempt, enqueue time) still to dispatch; retries
     #: re-enter at the tail, behind every not-yet-attempted task.  A
@@ -406,15 +487,7 @@ def _run_pool(
     #: dropped — delivered-at-most-once is what lets ``on_result``
     #: persist results without its own dedup.
     resolved_flags: List[bool] = [False] * len(tasks)
-    pool: Dict[int, _Worker] = {}
-    next_id = 0
-
-    def spawn() -> _Worker:
-        nonlocal next_id
-        worker = _Worker(next_id, ctx, fn)
-        pool[worker.id] = worker
-        next_id += 1
-        return worker
+    workers = pool.workers
 
     def respawn() -> _Worker:
         """Replace a dead/overdue/unreachable worker — and leave a trace:
@@ -423,7 +496,7 @@ def _run_pool(
         stats.respawns += 1
         if tel.enabled:
             tel.count("pool.respawns")
-        return spawn()
+        return pool.spawn()
 
     def retry_or_hang(
         index: int, attempt: int, worker_id: int, seconds: float = 0.0
@@ -446,41 +519,63 @@ def _run_pool(
             _emit(progress, stats, "hung", index, names[index],
                   worker_id, seconds, attempt)
 
-    def reap(worker: _Worker, index: int, attempt: int) -> None:
-        """Kill a dead/overdue/unreachable worker and replace it."""
-        del pool[worker.id]
-        worker.kill()
-        retry_or_hang(index, attempt, worker.id)
+    def reap(worker: _Worker) -> None:
+        """Kill a dead/overdue/unreachable worker, account for the task
+        it held, and replace it."""
+        pool.discard(worker)
+        if worker.busy is not None:
+            index, attempt, _started, _ticket = worker.busy
+            retry_or_hang(index, attempt, worker.id)
         respawn()
+
+    def sweep() -> None:
+        """Reap dead workers and workers past the task timeout."""
+        now = time.monotonic()
+        for worker in list(workers.values()):
+            overdue = (
+                worker.busy is not None and task_timeout is not None
+                and now - worker.busy[2] > task_timeout
+            )
+            if overdue or not worker.process.is_alive():
+                reap(worker)
 
     def dispatch() -> None:
         """Hand queued tasks to idle workers."""
-        for worker in pool.values():
+        for worker in list(workers.values()):
             if not queue:
                 return
             if worker.busy is None:
                 index, attempt, enqueued = queue.popleft()
-                worker.assign(index, attempt, tasks[index])
+                try:
+                    worker.assign(
+                        pool.ticket(), index, attempt, fn, tasks[index]
+                    )
+                except (BrokenPipeError, OSError):
+                    reap(worker)
+                    continue
                 if tel.enabled:
                     tel.observe(
                         "pool.queue_wait", time.monotonic() - enqueued
                     )
 
-    for _ in range(nworkers):
-        spawn()
+    while len(workers) < min(pool.size, len(tasks)):
+        pool.spawn()
     try:
         while resolved < len(tasks):
+            sweep()
             dispatch()
             ready = multiprocessing.connection.wait(
-                [w.conn for w in pool.values() if w.busy is not None],
+                [w.conn for w in workers.values() if w.busy is not None],
                 timeout=_POLL_INTERVAL,
             )
             for conn in ready:
-                worker = next(w for w in pool.values() if w.conn is conn)
+                worker = next(w for w in workers.values() if w.conn is conn)
                 assert worker.busy is not None
-                index, attempt, _started = worker.busy
+                index, attempt, _started, ticket = worker.busy
                 try:
-                    msg_index, kind, seconds, cpu_seconds, payload = conn.recv()
+                    msg_ticket, kind, seconds, cpu_seconds, payload = (
+                        conn.recv()
+                    )
                 except (EOFError, OSError):
                     # The pipe failed mid-task.  The process may still be
                     # alive (e.g. the task closed its own fds), in which
@@ -488,16 +583,16 @@ def _run_pool(
                     # every poll forever — a busy-loop with no timeout to
                     # break it.  Treat a failed recv as worker death:
                     # kill, account, respawn; never poll this conn again.
-                    reap(worker, index, attempt)
+                    reap(worker)
                     continue
-                if msg_index != index or resolved_flags[msg_index]:
-                    # A reply for a task this worker is *not* currently
-                    # running, or for a task whose fate is already
-                    # sealed: the late echo of a timed-out-then-retried
-                    # task, or an outright duplicate send.  Before the
-                    # index rode along in the message, this reply was
-                    # silently credited to the worker's current task —
-                    # the double-``on_result`` bug.  Drop it; the
+                if msg_ticket != ticket or resolved_flags[index]:
+                    # A reply for an assignment this worker is *not*
+                    # currently running, or for a task whose fate is
+                    # already sealed: the late echo of a timed-out-then-
+                    # retried task, or an outright duplicate send.
+                    # Before the ticket rode along in the message, this
+                    # reply was silently credited to the worker's current
+                    # task — the double-``on_result`` bug.  Drop it; the
                     # worker's real reply (if any) is still coming.
                     stats.stale_results += 1
                     if tel.enabled:
@@ -522,24 +617,10 @@ def _run_pool(
                     # compute time just like the inline path does.
                     stats.cpu_seconds += cpu_seconds
                     retry_or_hang(index, attempt, worker.id, seconds)
-            now = time.monotonic()
-            for worker in list(pool.values()):
-                if worker.busy is None:
-                    if not worker.process.is_alive():
-                        # Idle worker died (should not happen): replace it.
-                        del pool[worker.id]
-                        worker.kill()
-                        respawn()
-                    continue
-                index, attempt, started = worker.busy
-                overdue = (
-                    task_timeout is not None and now - started > task_timeout
-                )
-                if overdue or not worker.process.is_alive():
-                    del pool[worker.id]
-                    worker.kill()
-                    retry_or_hang(index, attempt, worker.id)
-                    respawn()
     finally:
-        for worker in pool.values():
-            worker.shutdown()
+        # A worker still busy here belongs to an aborted call (the
+        # result callback raised): its reply must not reach the pool's
+        # next call, so it goes rather than staying idle.
+        for worker in list(workers.values()):
+            if worker.busy is not None:
+                pool.discard(worker)

@@ -30,6 +30,7 @@ Format (``version`` 1)::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -162,6 +163,12 @@ class CampaignManifest:
 
     def shards(self) -> List[Shard]:
         """Deterministic shard expansion, seed-major then CPU order."""
+        return list(self._shards)
+
+    @functools.cached_property
+    def _shards(self) -> Tuple[Shard, ...]:
+        """The expansion, computed once per manifest: a drain asks for
+        it every round, and each expansion hashes every shard id."""
         digest = self.digest()
         out: List[Shard] = []
         for seed in self.seeds:
@@ -176,7 +183,7 @@ class CampaignManifest:
                     shard_id=shard_id, seed=seed, cpu=cpu.name,
                     index=len(out),
                 ))
-        return out
+        return tuple(out)
 
     def shard_map(self) -> Dict[str, Shard]:
         """The shard expansion keyed by shard id — the lookup the lease

@@ -5,9 +5,10 @@ it asks the store which hunts are still unrecorded (whole shards, the
 tail of a shard torn by a crash, or ``hung`` tombstones due a retry),
 **claims** each shard through a :class:`~repro.service.lease.LeaseManager`
 before touching it, dispatches exactly those hunts to
-:func:`repro.analysis.pool.run_tasks` — the same worker pool, task
-function and per-hunt seed derivation a one-shot ``run_campaign``
-uses — and persists every hunt the moment it completes via the pool's
+:func:`repro.analysis.pool.run_tasks` — the same task function and
+per-hunt seed derivation a one-shot ``run_campaign`` uses, on one
+:class:`~repro.analysis.pool.WorkerPool` held for the whole drain — and
+persists every hunt the moment it completes via the pool's
 ``on_result`` streaming callback.  A shard's completion marker is
 appended as soon as its last hunt lands (after a from-disk ownership
 re-check), so the crash-loss window is only the hunts literally in
@@ -33,6 +34,7 @@ drained the job or five.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -43,7 +45,7 @@ from repro.analysis.campaign import (
     HuntChunks,
     _hunt_batch_task,
 )
-from repro.analysis.pool import PoolStats, ProgressFn, run_tasks
+from repro.analysis.pool import PoolStats, ProgressFn, WorkerPool, run_tasks
 from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseManager
 from repro.service.manifest import CampaignManifest, Shard
 from repro.service.store import ResultStore
@@ -181,7 +183,8 @@ class JobRunner:
         exit code 2, and the next resume retries it.
         """
         stats: Optional[PoolStats] = None
-        with self.lease:
+        pool = WorkerPool(self.workers) if self.workers > 1 else None
+        with self.lease, pool or contextlib.nullcontext():
             while True:
                 self.store.refresh()
                 unresolved = self._unresolved()
@@ -196,7 +199,7 @@ class JobRunner:
                         continue
                     time.sleep(self.poll_seconds)
                     continue
-                stats = _merge_stats(stats, self._run_batch(claimed))
+                stats = _merge_stats(stats, self._run_batch(claimed, pool))
             self.store.refresh()
         return self.merged(stats=stats)
 
@@ -225,10 +228,12 @@ class JobRunner:
         return claimed, contended
 
     def _run_batch(
-        self, claimed: List[Tuple[Shard, List[int]]]
+        self, claimed: List[Tuple[Shard, List[int]]],
+        pool: Optional[WorkerPool],
     ) -> Optional[PoolStats]:
         """One pool batch over the claimed shards, persisting as hunts
-        land and marking each shard done at its last hunt.
+        land and marking each shard done at its last hunt.  ``pool``
+        is the drain's worker pool (``None`` runs inline).
 
         Each pool task carries up to ``batch`` hunts of one shard
         (chunks never span shards — every hunt in a chunk shares the
@@ -276,6 +281,7 @@ class JobRunner:
                 labels=chunks.labels,
                 progress=self.progress,
                 on_result=persist,
+                pool=pool,
             )
         # Hung chunks never reach on_result; record their tombstones
         # (campaign-compatible hung accounting) so the shard resolves —

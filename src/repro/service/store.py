@@ -15,7 +15,8 @@ simply re-run on resume.  Nothing is ever rewritten in place while a
 job runs — a restarted daemon re-reads the store and resumes exactly at
 the first unfinished shard, never re-spending budget on a recorded
 hunt.  (The one rewrite is :meth:`ResultStore.compact_shard`, an atomic
-whole-file replace of a *done* shard.)
+whole-file replace of a *done* shard.)  A running store re-reads only
+the lines appended since its last read (see :class:`ResultStore`).
 
 Line kinds::
 
@@ -37,7 +38,7 @@ Replay rules (what makes N appenders safe):
   records as its ``hunts`` field survive the reload — a marker that
   outlived a torn mid-file hunt line demotes the shard back to
   not-done instead of wedging every future resume (see
-  :meth:`_finalize_shard`);
+  :attr:`_ShardState.done`);
 * ``lease`` lines replay through
   :func:`repro.service.lease.apply_lease_line` — append order
   arbitrates racing claims (see :mod:`repro.service.lease`).
@@ -58,10 +59,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro import telemetry
 from repro.analysis.campaign import BugHunt
@@ -116,7 +118,29 @@ def failure_digest(hunt: BugHunt) -> Optional[str]:
 
 
 @dataclass
-class _ShardState:
+class _FileState:
+    """How much of one JSONL file an in-memory view has folded.
+
+    ``offset`` is the byte length of the file prefix folded so far (it
+    always ends on a newline), ``ident`` the file's ``(st_dev, st_ino)``
+    and ``lines`` the number of lines in that prefix (for warnings).
+    ``stale`` means memory no longer mirrors a prefix of the file — an
+    own append landed behind lines this view has not read, or an
+    unterminated trailing line was folded — so the next read starts
+    over from byte 0.
+    """
+
+    offset: int = 0
+    ident: Optional[Tuple[int, int]] = None
+    lines: int = 0
+    stale: bool = False
+
+    def fold(self, doc: Dict[str, object], where: str) -> None:
+        raise NotImplementedError
+
+
+@dataclass
+class _ShardState(_FileState):
     """In-memory view of one shard's JSONL file."""
 
     hunts: Dict[int, BugHunt] = field(default_factory=dict)
@@ -124,7 +148,8 @@ class _ShardState:
     #: Per-index dedup bucket reference as stored on the hunt line
     #: (kept so compaction can rewrite lines byte-faithfully).
     dedup: Dict[int, Optional[str]] = field(default_factory=dict)
-    done: bool = False
+    #: True once any shard-done marker was seen.
+    marked: bool = False
     #: ``hunts`` count of the last surviving shard-done marker.
     marker_hunts: Optional[int] = None
     #: Per-index recording metadata as stored on the hunt line: the
@@ -138,6 +163,62 @@ class _ShardState:
     #: an expired lease from a first claim of a virgin shard.
     lease_seen: bool = False
 
+    @property
+    def done(self) -> bool:
+        """A marker counts only while at least as many hunts as it
+        records are loaded.
+
+        A ``shard-done`` marker records how many hunts existed when it
+        was appended.  If fewer survive a reload — a mid-file line was
+        torn or corrupted while the marker itself lived on — honoring
+        the marker would wedge the job forever: ``pending()`` skips the
+        shard while ``merged()`` raises on the missing hunt, on every
+        resume.  The shard counts as not-done so the missing hunts
+        simply re-run.
+        """
+        return self.marked and (
+            self.marker_hunts is None
+            or len(self.hunts) >= self.marker_hunts
+        )
+
+    def fold(self, doc: Dict[str, object], where: str) -> None:
+        """Apply one decoded line (the replay rules of the module doc)."""
+        kind = doc.get("kind")
+        if kind == "hunt":
+            try:
+                hunt = BugHunt.from_dict(doc["hunt"])  # type: ignore[arg-type]
+                index = int(doc["bug_index"])  # type: ignore[arg-type]
+            except (KeyError, TypeError, ValueError) as exc:
+                warnings.warn(
+                    f"{where}: undecodable hunt record ({exc}); it will "
+                    "be re-run",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+                return
+            self.hunts[index] = hunt
+            self.digests[index] = str(doc.get("digest", ""))
+            dedup = doc.get("dedup")
+            self.dedup[index] = None if dedup is None else str(dedup)
+            meta: Dict[str, object] = {}
+            if doc.get("owner") is not None:
+                meta["owner"] = str(doc["owner"])
+            if doc.get("ts") is not None:
+                try:
+                    meta["ts"] = float(doc["ts"])  # type: ignore[arg-type]
+                except (TypeError, ValueError):
+                    pass
+            self.meta[index] = meta
+        elif kind == "shard-done":
+            self.marked = True
+            try:
+                self.marker_hunts = int(doc.get("hunts"))  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                self.marker_hunts = None
+        elif kind == "lease":
+            self.lease = apply_lease_line(self.lease, doc)
+            self.lease_seen = True
+
 
 @dataclass
 class _Bucket:
@@ -148,6 +229,33 @@ class _Bucket:
     count: int = 1
 
 
+@dataclass
+class _BucketLog(_FileState):
+    """In-memory view of ``buckets.jsonl``."""
+
+    buckets: Dict[str, _Bucket] = field(default_factory=dict)
+
+    def fold(self, doc: Dict[str, object], where: str) -> None:
+        if doc.get("kind") != "bucket":
+            return
+        digest = str(doc.get("digest", ""))
+        bucket = self.buckets.get(digest)
+        if bucket is None:
+            self.buckets[digest] = _Bucket(
+                shard_id=str(doc.get("shard", "")),
+                bug_index=int(doc.get("bug_index", -1)),  # type: ignore[arg-type]
+            )
+        else:
+            bucket.count += 1
+
+
+_S = TypeVar("_S", bound=_FileState)
+
+
+def _ident(st: os.stat_result) -> Tuple[int, int]:
+    return st.st_dev, st.st_ino
+
+
 class ResultStore:
     """One job's persistent results (see module doc for the layout).
 
@@ -156,6 +264,18 @@ class ResultStore:
     to :meth:`pending` so a transient host stall cannot pin the job at
     exit code 2 across every future resume.  Pass False to keep
     tombstones final (the pre-fleet behavior).
+
+    **Re-reading is a tail read.**  Each file's view remembers the byte
+    offset it has folded and the file's ``(st_dev, st_ino)``; a read
+    parses only the complete lines appended past that offset.  The file
+    is re-read whole when its inode changed (compaction's
+    ``os.replace``), when it is shorter than the offset, when the last
+    read folded an unterminated trailing line, or when one of this
+    handle's own appends landed behind lines it had not read yet (own
+    lines are folded the moment they are appended, and lease replay
+    depends on line order).  One lock covers every append-and-fold and
+    every read: the lease heartbeat thread appends concurrently with
+    the runner.
     """
 
     def __init__(self, root: str, *, requeue_hung: bool = True) -> None:
@@ -164,9 +284,12 @@ class ResultStore:
         self.shards_dir = os.path.join(root, "shards")
         os.makedirs(self.shards_dir, exist_ok=True)
         self._shards: Dict[str, _ShardState] = {}
-        self._buckets: Dict[str, _Bucket] = {}
-        self._fds: Dict[str, int] = {}
-        self._load()
+        self._bucket_log = _BucketLog()
+        #: Cached append descriptors: path -> (fd, (st_dev, st_ino)).
+        self._fds: Dict[str, Tuple[int, Tuple[int, int]]] = {}
+        self._lock = threading.Lock()
+        with self._lock:
+            self._read_all()
 
     # -- paths and I/O -------------------------------------------------
 
@@ -181,165 +304,174 @@ class ResultStore:
     def manifest_path(self) -> str:
         return os.path.join(self.root, "manifest.json")
 
-    def _append(self, path: str, doc: Dict[str, object]) -> None:
+    def _append(
+        self, path: str, doc: Dict[str, object], state: _FileState
+    ) -> None:
         """One line, one ``write(2)``, ``O_APPEND`` — the crash-safety
-        contract: a kill can tear only the trailing line."""
-        fd = self._fds.get(path)
-        if fd is None:
+        contract: a kill can tear only the trailing line.
+
+        The caller folds the line into ``state`` itself.  The offset
+        moves past the line only when it landed exactly at the offset
+        (the descriptor's position after the write says where it
+        landed); otherwise a peer's lines precede it unread, and the
+        view is marked for a whole re-read.
+        """
+        cached = self._fds.get(path)
+        if cached is not None and state.ident not in (None, cached[1]):
+            # The view has read a newer file at this path (a peer
+            # compacted it): the old descriptor would append to the
+            # unlinked inode.
+            self._drop_fd(path)
+            cached = None
+        if cached is None:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            self._fds[path] = fd
+            cached = self._fds[path] = (fd, _ident(os.fstat(fd)))
+        fd, ident = cached
         doc.setdefault("v", STORE_VERSION)
-        os.write(fd, (_canonical(doc) + "\n").encode("utf-8"))
+        data = (_canonical(doc) + "\n").encode("utf-8")
+        written = os.write(fd, data)
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        if (
+            not state.stale
+            and written == len(data)
+            and end - written == state.offset
+            and state.ident in (None, ident)
+        ):
+            state.offset = end
+            state.ident = ident
+            state.lines += 1
+        else:
+            state.stale = True
 
     def _drop_fd(self, path: str) -> None:
         """Close a cached append descriptor (before an atomic replace —
         the old fd would keep appending to the unlinked inode)."""
-        fd = self._fds.pop(path, None)
-        if fd is not None:
-            os.close(fd)
+        cached = self._fds.pop(path, None)
+        if cached is not None:
+            os.close(cached[0])
 
     def close(self) -> None:
-        for fd in self._fds.values():
+        for fd, _ in self._fds.values():
             os.close(fd)
         self._fds.clear()
 
-    @staticmethod
-    def _read_jsonl(path: str) -> Iterable[Dict[str, object]]:
-        """Yield decodable lines; a truncated/corrupt line (a torn tail
-        from a killed writer) is skipped with a warning, never fatal."""
+    # -- reading -------------------------------------------------------
+
+    def _read(
+        self, path: str, state: Optional[_S], new: Callable[[], _S]
+    ) -> Optional[_S]:
+        """Bring one file's view up to date; ``None`` if there is no file.
+
+        Folds the complete lines past ``state``'s offset into it, or
+        into a fresh view (returned) when the file must be re-read whole
+        (see the class doc).  An undecodable line — a torn append from
+        a killed writer — is skipped with a warning, never fatal; an
+        unterminated trailing line is decoded if it can be, but the
+        offset never moves past it.
+        """
         try:
-            with open(path) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        doc = json.loads(line)
-                    except json.JSONDecodeError:
-                        warnings.warn(
-                            f"{path}:{lineno}: skipping corrupt store line "
-                            "(torn append from a killed writer?); the "
-                            "affected hunt will be re-run on resume",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    if isinstance(doc, dict):
-                        yield doc
+            st = os.stat(path)
         except FileNotFoundError:
+            return None
+        if (
+            state is not None and not state.stale
+            and state.ident == _ident(st) and state.offset == st.st_size
+        ):
+            return state
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            return None
+        with fh:
+            st = os.fstat(fh.fileno())
+            if (
+                state is None or state.stale
+                or state.ident != _ident(st) or st.st_size < state.offset
+            ):
+                state = new()
+                state.ident = _ident(st)
+            fh.seek(state.offset)
+            data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        for line in data[:complete].split(b"\n")[:-1]:
+            state.lines += 1
+            self._fold_line(state, line, f"{path}:{state.lines}")
+        state.offset += complete
+        tail = data[complete:]
+        if self._fold_line(state, tail, f"{path}:{state.lines + 1}"):
+            state.stale = True
+        return state
+
+    @staticmethod
+    def _fold_line(state: _FileState, line: bytes, where: str) -> bool:
+        """Decode and fold one line; True when something was folded."""
+        line = line.strip()
+        if not line:
+            return False
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            warnings.warn(
+                f"{where}: skipping corrupt store line (torn append from "
+                "a killed writer?); the affected hunt will be re-run on "
+                "resume",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            return False
+        if not isinstance(doc, dict):
+            return False
+        state.fold(doc, where)
+        return True
+
+    def _read_shard(self, shard_id: str) -> None:
+        path = self._shard_path(shard_id)
+        state = self._read(path, self._shards.get(shard_id), _ShardState)
+        if state is None:
+            self._shards.pop(shard_id, None)
             return
+        self._shards[shard_id] = state
+        if state.marked and not state.done:
+            warnings.warn(
+                f"{path}: shard-done marker records {state.marker_hunts} "
+                f"hunt(s) but only {len(state.hunts)} loaded; demoting "
+                "the shard to not-done so the missing hunts re-run",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
-    # -- loading -------------------------------------------------------
-
-    def _load(self) -> None:
+    def _read_all(self) -> None:
         try:
             names = sorted(os.listdir(self.shards_dir))
         except FileNotFoundError:
             names = []
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            self._load_shard(name[: -len(".jsonl")])
-        self._load_buckets()
-
-    def _load_shard(self, shard_id: str) -> _ShardState:
-        """(Re-)read one shard file into a fresh in-memory state."""
-        state = _ShardState()
-        self._shards[shard_id] = state
-        for doc in self._read_jsonl(self._shard_path(shard_id)):
-            kind = doc.get("kind")
-            if kind == "hunt":
-                try:
-                    hunt = BugHunt.from_dict(doc["hunt"])  # type: ignore[arg-type]
-                    index = int(doc["bug_index"])  # type: ignore[arg-type]
-                except (KeyError, TypeError, ValueError) as exc:
-                    warnings.warn(
-                        f"{self._shard_path(shard_id)}: undecodable "
-                        f"hunt record ({exc}); it will be re-run",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                state.hunts[index] = hunt
-                state.digests[index] = str(doc.get("digest", ""))
-                dedup = doc.get("dedup")
-                state.dedup[index] = None if dedup is None else str(dedup)
-                meta: Dict[str, object] = {}
-                if doc.get("owner") is not None:
-                    meta["owner"] = str(doc["owner"])
-                if doc.get("ts") is not None:
-                    try:
-                        meta["ts"] = float(doc["ts"])  # type: ignore[arg-type]
-                    except (TypeError, ValueError):
-                        pass
-                state.meta[index] = meta
-            elif kind == "shard-done":
-                state.done = True
-                try:
-                    state.marker_hunts = int(doc.get("hunts"))  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    state.marker_hunts = None
-            elif kind == "lease":
-                state.lease = apply_lease_line(state.lease, doc)
-                state.lease_seen = True
-        self._finalize_shard(shard_id, state)
-        return state
-
-    def _finalize_shard(self, shard_id: str, state: _ShardState) -> None:
-        """Validate the shard's done marker against what actually loaded.
-
-        A ``shard-done`` marker records how many hunts existed when it
-        was appended.  If fewer survive the reload — a mid-file line was
-        torn or corrupted while the marker itself lived on — honoring
-        the marker would wedge the job forever: ``pending()`` skips the
-        shard while ``merged()`` raises on the missing hunt, on every
-        resume.  Demote the shard to not-done so the missing hunts
-        simply re-run.
-        """
-        if state.done and state.marker_hunts is not None:
-            if len(state.hunts) < state.marker_hunts:
-                warnings.warn(
-                    f"{self._shard_path(shard_id)}: shard-done marker "
-                    f"records {state.marker_hunts} hunt(s) but only "
-                    f"{len(state.hunts)} loaded; demoting the shard to "
-                    "not-done so the missing hunts re-run",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                state.done = False
-
-    def _load_buckets(self) -> None:
-        self._buckets.clear()
-        for doc in self._read_jsonl(self._buckets_path):
-            if doc.get("kind") != "bucket":
-                continue
-            digest = str(doc.get("digest", ""))
-            bucket = self._buckets.get(digest)
-            if bucket is None:
-                self._buckets[digest] = _Bucket(
-                    shard_id=str(doc.get("shard", "")),
-                    bug_index=int(doc.get("bug_index", -1)),  # type: ignore[arg-type]
-                )
-            else:
-                bucket.count += 1
+        ids = [n[: -len(".jsonl")] for n in names if n.endswith(".jsonl")]
+        for shard_id in set(self._shards) - set(ids):
+            del self._shards[shard_id]
+        for shard_id in ids:
+            self._read_shard(shard_id)
+        self._bucket_log = (
+            self._read(self._buckets_path, self._bucket_log, _BucketLog)
+            or _BucketLog()
+        )
 
     def refresh_shard(self, shard_id: str) -> None:
-        """Re-read one shard's file, picking up peers' appended lines.
+        """Pick up peers' lines appended to one shard's file.
 
         With N daemons appending to the same store, the in-memory view
         goes stale the moment a peer writes; lease arbitration and
         takeover both re-read before deciding anything.
         """
-        with warnings.catch_warnings():
+        with self._lock, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            self._load_shard(shard_id)
+            self._read_shard(shard_id)
 
     def refresh(self) -> None:
-        """Re-read every shard file and the bucket log from disk."""
-        self._shards.clear()
-        with warnings.catch_warnings():
+        """Pick up what peers appended to every shard file and to the
+        bucket log (and drop shards whose file is gone)."""
+        with self._lock, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            self._load()
+            self._read_all()
 
     # -- manifest ------------------------------------------------------
 
@@ -364,10 +496,10 @@ class ResultStore:
             "kind": "lease", "op": op, "shard": shard_id,
             "owner": owner, "time": time, "expires": expires,
         }
-        self._append(self._shard_path(shard_id), dict(doc))
-        state = self._shards.setdefault(shard_id, _ShardState())
-        state.lease = apply_lease_line(state.lease, doc)
-        state.lease_seen = True
+        with self._lock:
+            state = self._shards.setdefault(shard_id, _ShardState())
+            self._append(self._shard_path(shard_id), dict(doc), state)
+            state.fold(doc, self._shard_path(shard_id))
 
     def lease_state(self, shard_id: str) -> Optional[Lease]:
         """The shard's replayed lease (may be expired; caller checks)."""
@@ -409,74 +541,76 @@ class ResultStore:
           bug) — is a scheduler bug and raises: the store never
           silently double-spends campaign budget.
         """
-        state = self._shards.setdefault(shard_id, _ShardState())
-        existing = state.hunts.get(bug_index)
-        if existing is not None:
-            if not (existing.hung and not hunt.hung):
-                if hunt.hung or hunt_digest(hunt) == state.digests[bug_index]:
-                    telemetry.count("service.duplicate_hunts")
-                    return state.digests[bug_index], state.dedup.get(bug_index)
-                raise ValueError(
-                    f"hunt {bug_index} of shard {shard_id} is already "
-                    "recorded with a different outcome; refusing to "
-                    "re-record a completed hunt"
-                )
-            # A real result supersedes the hung tombstone: the later
-            # line wins on replay, so a plain append is the rewrite.
-            telemetry.count("service.hung_retried")
-        digest = hunt_digest(hunt)
-        dedup = failure_digest(hunt)
-        stored = hunt
-        if dedup is not None:
-            bucket = self._buckets.get(dedup)
-            if bucket is None:
-                self._buckets[dedup] = _Bucket(
-                    shard_id=shard_id, bug_index=bug_index
-                )
-            else:
-                bucket.count += 1
-                stored = BugHunt(
-                    spec=hunt.spec, cpu=hunt.cpu, detected=hunt.detected,
-                    tests_run=hunt.tests_run,
-                    detected_on_seed=hunt.detected_on_seed,
-                    via=hunt.via, hung=hunt.hung, schedule=None,
-                    ops=hunt.ops,
-                )
-                telemetry.count("service.dedup_hits")
-            self._append(self._buckets_path, {
-                "kind": "bucket", "digest": dedup, "shard": shard_id,
-                "bug": hunt.spec.name, "bug_index": bug_index,
-                "first": stored is hunt,
-            })
-        meta: Dict[str, object] = {}
-        line: Dict[str, object] = {
-            "kind": "hunt", "shard": shard_id, "bug": hunt.spec.name,
-            "bug_index": bug_index, "digest": digest,
-            "dedup": None if stored is hunt else dedup,
-            "hunt": stored.to_dict(),
-        }
-        if owner is not None:
-            meta = {"owner": owner, "ts": time.time()}
-            line.update(meta)
-        self._append(self._shard_path(shard_id), line)
-        state.hunts[bug_index] = stored
-        state.digests[bug_index] = digest
-        state.dedup[bug_index] = None if stored is hunt else dedup
-        state.meta[bug_index] = meta
-        telemetry.count("service.hunts")
-        if hunt.detected:
-            telemetry.count("service.detections")
-        return digest, None if stored is hunt else dedup
+        with self._lock:
+            state = self._shards.setdefault(shard_id, _ShardState())
+            existing = state.hunts.get(bug_index)
+            if existing is not None:
+                if not (existing.hung and not hunt.hung):
+                    if hunt.hung or hunt_digest(hunt) == state.digests[bug_index]:
+                        telemetry.count("service.duplicate_hunts")
+                        return state.digests[bug_index], state.dedup.get(bug_index)
+                    raise ValueError(
+                        f"hunt {bug_index} of shard {shard_id} is already "
+                        "recorded with a different outcome; refusing to "
+                        "re-record a completed hunt"
+                    )
+                # A real result supersedes the hung tombstone: the later
+                # line wins on replay, so a plain append is the rewrite.
+                telemetry.count("service.hung_retried")
+            digest = hunt_digest(hunt)
+            dedup = failure_digest(hunt)
+            stored = hunt
+            if dedup is not None:
+                bucket = self._bucket_log.buckets.get(dedup)
+                if bucket is None:
+                    self._bucket_log.buckets[dedup] = _Bucket(
+                        shard_id=shard_id, bug_index=bug_index
+                    )
+                else:
+                    bucket.count += 1
+                    stored = BugHunt(
+                        spec=hunt.spec, cpu=hunt.cpu, detected=hunt.detected,
+                        tests_run=hunt.tests_run,
+                        detected_on_seed=hunt.detected_on_seed,
+                        via=hunt.via, hung=hunt.hung, schedule=None,
+                        ops=hunt.ops,
+                    )
+                    telemetry.count("service.dedup_hits")
+                self._append(self._buckets_path, {
+                    "kind": "bucket", "digest": dedup, "shard": shard_id,
+                    "bug": hunt.spec.name, "bug_index": bug_index,
+                    "first": stored is hunt,
+                }, self._bucket_log)
+            meta: Dict[str, object] = {}
+            line: Dict[str, object] = {
+                "kind": "hunt", "shard": shard_id, "bug": hunt.spec.name,
+                "bug_index": bug_index, "digest": digest,
+                "dedup": None if stored is hunt else dedup,
+                "hunt": stored.to_dict(),
+            }
+            if owner is not None:
+                meta = {"owner": owner, "ts": time.time()}
+                line.update(meta)
+            self._append(self._shard_path(shard_id), line, state)
+            state.hunts[bug_index] = stored
+            state.digests[bug_index] = digest
+            state.dedup[bug_index] = None if stored is hunt else dedup
+            state.meta[bug_index] = meta
+            telemetry.count("service.hunts")
+            if hunt.detected:
+                telemetry.count("service.detections")
+            return digest, None if stored is hunt else dedup
 
     def mark_shard_done(self, shard_id: str) -> None:
         """Append the completion marker — the resume boundary."""
-        state = self._shards.setdefault(shard_id, _ShardState())
-        self._append(self._shard_path(shard_id), {
-            "kind": "shard-done", "shard": shard_id,
-            "hunts": len(state.hunts),
-        })
-        state.done = True
-        state.marker_hunts = len(state.hunts)
+        with self._lock:
+            state = self._shards.setdefault(shard_id, _ShardState())
+            doc: Dict[str, object] = {
+                "kind": "shard-done", "shard": shard_id,
+                "hunts": len(state.hunts),
+            }
+            self._append(self._shard_path(shard_id), doc, state)
+            state.fold(doc, self._shard_path(shard_id))
         telemetry.count("service.shards_completed")
 
     # -- compaction ----------------------------------------------------
@@ -494,42 +628,47 @@ class ResultStore:
 
         Returns ``(lines before, lines after)``.
         """
-        state = self._shards.get(shard_id)
-        if state is None or not state.done:
-            raise ValueError(
-                f"shard {shard_id} is not done; only completed shards "
-                "compact (a live shard's file is the coordination medium)"
-            )
-        path = self._shard_path(shard_id)
-        before = 0
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    before += 1
-        lines: List[str] = []
-        for index in sorted(state.hunts):
-            hunt = state.hunts[index]
-            doc: Dict[str, object] = {
-                "kind": "hunt", "shard": shard_id, "bug": hunt.spec.name,
-                "bug_index": index, "digest": state.digests[index],
-                "dedup": state.dedup.get(index),
-                "hunt": hunt.to_dict(), "v": STORE_VERSION,
-            }
-            doc.update(state.meta.get(index, {}))
-            lines.append(_canonical(doc))
-        lines.append(_canonical({
-            "kind": "shard-done", "shard": shard_id,
-            "hunts": len(state.hunts), "v": STORE_VERSION,
-        }))
-        self._drop_fd(path)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        state.lease = None
-        state.lease_seen = False
+        with self._lock:
+            state = self._shards.get(shard_id)
+            if state is None or not state.done:
+                raise ValueError(
+                    f"shard {shard_id} is not done; only completed shards "
+                    "compact (a live shard's file is the coordination medium)"
+                )
+            path = self._shard_path(shard_id)
+            before = 0
+            with open(path) as fh:
+                for line in fh:
+                    if line.strip():
+                        before += 1
+            lines: List[str] = []
+            for index in sorted(state.hunts):
+                hunt = state.hunts[index]
+                doc: Dict[str, object] = {
+                    "kind": "hunt", "shard": shard_id, "bug": hunt.spec.name,
+                    "bug_index": index, "digest": state.digests[index],
+                    "dedup": state.dedup.get(index),
+                    "hunt": hunt.to_dict(), "v": STORE_VERSION,
+                }
+                doc.update(state.meta.get(index, {}))
+                lines.append(_canonical(doc))
+            lines.append(_canonical({
+                "kind": "shard-done", "shard": shard_id,
+                "hunts": len(state.hunts), "v": STORE_VERSION,
+            }))
+            self._drop_fd(path)
+            tmp = path + ".tmp"
+            with open(tmp, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+            state.lease = None
+            state.lease_seen = False
+            state.marker_hunts = len(state.hunts)
+            # The replaced file is a new inode; never tail it from the old
+            # offset (an inode number can be reused by a later replace).
+            state.stale = True
         telemetry.count("service.shards_compacted")
         return before, len(lines)
 
@@ -550,7 +689,7 @@ class ResultStore:
 
     def shard_done(self, shard_id: str) -> bool:
         """True once the shard's completion marker is on disk (and its
-        record count backs it up — see :meth:`_finalize_shard`)."""
+        record count backs it up — see :attr:`_ShardState.done`)."""
         state = self._shards.get(shard_id)
         return bool(state and state.done)
 
@@ -563,11 +702,11 @@ class ResultStore:
 
     def buckets(self) -> Dict[str, int]:
         """Failure-dedup bucket sizes, keyed by failure digest."""
-        return {d: b.count for d, b in self._buckets.items()}
+        return {d: b.count for d, b in self._bucket_log.buckets.items()}
 
     def schedule_for(self, digest: str) -> Optional[str]:
         """The canonical schedule trace of a dedup bucket, if stored."""
-        bucket = self._buckets.get(digest)
+        bucket = self._bucket_log.buckets.get(digest)
         if bucket is None:
             return None
         hunt = self._shards.get(bucket.shard_id, _ShardState()).hunts.get(
@@ -669,8 +808,8 @@ class ResultStore:
             "hunts_detected": detected,
             "hunts_hung": hung,
             "owners": owners,
-            "dedup_buckets": len(self._buckets),
+            "dedup_buckets": len(self._bucket_log.buckets),
             "dedup_hits": sum(
-                b.count - 1 for b in self._buckets.values()
+                b.count - 1 for b in self._bucket_log.buckets.values()
             ),
         }

@@ -7,12 +7,21 @@ import warnings
 import pytest
 
 from repro import telemetry
-from repro.analysis.pool import PoolEvent, run_tasks
+from repro.analysis import pool as pool_module
+from repro.analysis.pool import PoolEvent, WorkerPool, run_tasks
 from repro.core.result import PoolStats
 
 
 def _square(task):
     return task * task
+
+
+def _negate(task):
+    return -task
+
+
+def _pid(task):
+    return os.getpid()
 
 
 def _misbehave(task):
@@ -121,6 +130,90 @@ class TestParallel:
             assert results == expected, workers
             assert stats.retries == 3 and stats.hung == 3, workers
             assert stats.completed == 5, workers
+
+
+class TestWorkerPool:
+    """One pool serves successive ``run_tasks`` calls."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """Every ``_Worker`` constructed, in order."""
+        made = []
+
+        class Counting(pool_module._Worker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(pool_module, "_Worker", Counting)
+        return made
+
+    def test_empty_batch_starts_no_worker(self, spawned):
+        results, stats = run_tasks(abs, [], workers=2)
+        assert results == []
+        assert stats.tasks == 0 and stats.completed == 0
+        assert spawned == []
+
+    def test_workers_survive_across_calls(self, spawned):
+        with WorkerPool(2) as pool:
+            first, _ = run_tasks(_pid, list(range(8)), pool=pool)
+            pids = {w.process.pid for w in pool.workers.values()}
+            second, stats = run_tasks(_pid, list(range(8)), pool=pool)
+            assert {w.process.pid for w in pool.workers.values()} == pids
+        assert len(spawned) == 2
+        assert set(first) | set(second) <= pids
+        assert os.getpid() not in pids
+        assert stats.respawns == 0 and stats.workers == 2
+        # Leaving the pool shuts every worker down.
+        assert not any(w.process.is_alive() for w in spawned)
+
+    def test_each_call_runs_its_own_fn(self):
+        with WorkerPool(2) as pool:
+            squares, _ = run_tasks(_square, [2, 3, 4], pool=pool)
+            negated, _ = run_tasks(_negate, [2, 3, 4], pool=pool)
+        assert squares == [4, 9, 16]
+        assert negated == [-2, -3, -4]
+
+    def test_timeout_respawns_one_worker_and_the_pool_stays_usable(
+        self, spawned
+    ):
+        with WorkerPool(2) as pool:
+            results, stats = run_tasks(
+                _misbehave, [("sleep", 1), ("ok", 3)], pool=pool,
+                task_timeout=0.3, retries=0,
+            )
+            assert results == [None, 9]
+            assert stats.hung == 1 and stats.respawns == 1
+            assert len(spawned) == 3 and len(pool.workers) == 2
+            results, stats = run_tasks(_square, [1, 2, 3, 4], pool=pool)
+            assert results == [1, 4, 9, 16]
+            assert stats.hung == 0 and stats.respawns == 0
+        assert len(spawned) == 3
+
+    def test_a_worker_that_died_between_calls_is_replaced(self, spawned):
+        with WorkerPool(2) as pool:
+            run_tasks(_square, [1, 2], pool=pool)
+            victim = next(iter(pool.workers.values()))
+            victim.process.kill()
+            victim.process.join()
+            results, stats = run_tasks(_square, [1, 2, 3], pool=pool)
+        assert results == [1, 4, 9]
+        assert stats.hung == 0 and stats.retries == 0
+        assert stats.respawns == 1
+
+    def test_an_aborted_call_leaves_no_busy_worker(self):
+        def boom(index, value):
+            raise RuntimeError("sink failed")
+
+        with WorkerPool(2) as pool:
+            with pytest.raises(RuntimeError, match="sink failed"):
+                run_tasks(
+                    _misbehave, [("ok", 1), ("sleep", 2)], pool=pool,
+                    on_result=boom,
+                )
+            assert all(w.busy is None for w in pool.workers.values())
+            results, _ = run_tasks(_square, [5, 6], pool=pool)
+        assert results == [25, 36]
 
 
 class TestTimeoutRequiresWorkers:

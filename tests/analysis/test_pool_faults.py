@@ -247,7 +247,7 @@ class TestOnResult:
             run_tasks(_faulty, [("ok", 2)], workers=2, on_result=boom)
 
 
-def _double_send_worker_main(worker_id, fn, conn):
+def _double_send_worker_main(worker_id, conn):
     """A worker that delivers every reply twice — the duplicate/late
     delivery fault.  Pre-fix, the second copy was credited to whatever
     task the worker held next, firing ``on_result`` twice for one index
@@ -260,7 +260,7 @@ def _double_send_worker_main(worker_id, fn, conn):
             return
         if item is None:
             return
-        index, task = item
+        index, fn, task = item
         start = time.perf_counter()
         cpu_start = time.process_time()
         try:
@@ -356,3 +356,55 @@ class TestProgressAccounting:
         assert kinds.count("done") == 2
         assert kinds.count("hung") == 2
         assert kinds.count("retry") == 2
+
+
+_ORPHAN_SCRIPT = """
+import sys, time
+from repro.analysis.pool import WorkerPool, run_tasks
+pool = WorkerPool(2)
+run_tasks(abs, [-1, -2, -3, -4], pool=pool)
+print(" ".join(str(w.process.pid) for w in pool.workers.values()), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestOrphanedWorkers:
+    """A parent killed outright (SIGKILL: no sentinel, no atexit) must
+    not leave its idle pool workers running forever.  Each worker forked
+    after the first holds a copy of its siblings' pipe ends, so pipe EOF
+    alone never reaches them."""
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="needs /proc to watch pids"
+    )
+    def test_workers_exit_after_the_parent_is_killed(self):
+        import signal
+        import subprocess
+
+        src = os.path.dirname(
+            os.path.dirname(os.path.dirname(pool_module.__file__))
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            pids = [int(p) for p in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(p) for p in pids)
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+        deadline = time.monotonic() + 10.0
+        while any(_running(p) for p in pids):
+            assert time.monotonic() < deadline, "orphaned workers still alive"
+            time.sleep(0.05)

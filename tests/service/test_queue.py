@@ -56,6 +56,29 @@ class TestRun:
         assert store.load_manifest() == m
 
 
+class TestWorkerPool:
+    def test_one_pool_serves_every_round(self, tmp_path, monkeypatch):
+        """A drain forks its workers once, not once per round."""
+        import repro.service.queue as queue_module
+
+        rounds = []
+        real = queue_module.run_tasks
+
+        def spying(fn, tasks, **kwargs):
+            out = real(fn, tasks, **kwargs)
+            pool = kwargs["pool"]
+            rounds.append(sorted(w.process.pid for w in pool.workers.values()))
+            return out
+
+        monkeypatch.setattr(queue_module, "run_tasks", spying)
+        m = manifest(seeds=(1, 2, 3), cpus=("CPU1", "CPU2"), tests_per_bug=1)
+        result = JobRunner(m, ResultStore(str(tmp_path)), workers=2).run()
+        assert len(result.hunts) == m.hunt_count()
+        assert len(rounds) == 3  # six shards, two claimed per round
+        assert len(rounds[0]) == 2
+        assert all(pids == rounds[0] for pids in rounds)
+
+
 class TestResume:
     def test_completed_store_runs_nothing(self, tmp_path):
         m = manifest()

@@ -2,9 +2,12 @@
 
 import json
 import os
+import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.campaign import BugHunt
 from repro.sched.spec import SchedSpec
@@ -410,3 +413,296 @@ class TestSummary:
         assert summary["shards"]["a"]["done"] is True
         assert summary["shards"]["b"]["done"] is False
         assert json.loads(json.dumps(summary)) == summary  # JSON-safe
+
+
+# ---------------------------------------------------------------------------
+# Tail-read equivalence: a refreshed handle equals a freshly opened store
+# ---------------------------------------------------------------------------
+
+_TAIL_MANIFEST = manifest(seeds=(1, 2))
+_TAIL_SHARDS = [s.shard_id for s in _TAIL_MANIFEST.shards()]
+_OWNERS = ("h1-1", "h2-2")
+
+
+def _tail_hunt(shard_pos, bug_index, kind):
+    """The hunt a (shard, bug) pair records: one real outcome per pair
+    (so two handles never record conflicting results) or a tombstone.
+    Detected hunts share schedules across shards, exercising dedup."""
+    if kind == "hung":
+        return BugHunt(
+            spec=cpu_by_name("CPU1").bugs[bug_index], cpu="CPU1",
+            detected=False, tests_run=0,
+            via="worker crashed or timed out", hung=True,
+        )
+    detected = (shard_pos + bug_index) % 2 == 0
+    return make_hunt(
+        bug_index, detected=detected,
+        schedule=make_schedule(choices=(("c", bug_index),))
+        if detected else None,
+    )
+
+
+_handle = st.integers(0, 1)
+_shard = st.integers(0, len(_TAIL_SHARDS) - 1)
+_tail_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("hunt"), _handle, _shard, st.integers(0, 2),
+                  st.sampled_from(["real", "hung"])),
+        st.tuples(st.just("lease"), _handle, _shard,
+                  st.sampled_from(["claim", "renew", "release"]),
+                  st.sampled_from(_OWNERS), st.integers(0, 20)),
+        st.tuples(st.just("done"), _handle, _shard),
+        st.tuples(st.just("compact"), _handle, _shard),
+        st.tuples(st.just("torn"), _shard, st.integers(1, 200)),
+        st.tuples(st.just("truncate"), _shard, st.floats(0.0, 1.0)),
+        st.tuples(st.just("refresh"), _handle),
+    ),
+    max_size=30,
+)
+
+
+def _view(store, m):
+    """Everything a runner or the status endpoint reads from a store."""
+    return {
+        "summary": store.summary(),
+        "pending": [(s.shard_id, missing) for s, missing in store.pending(m)],
+        "digests": store.hunt_digests(),
+        "buckets": store.buckets(),
+        "leases": {
+            sid: (store.lease_state(sid), store.lease_history(sid))
+            for sid in _TAIL_SHARDS
+        },
+    }
+
+
+class TestTailReadEquivalence:
+    """``refresh()`` folds only the bytes past each file's offset, with
+    a whole re-read on compaction (inode change), truncation, a folded
+    unterminated tail, or an own append that landed behind unread peer
+    lines.  Whatever two handles append, interleaved, after a refresh
+    each must read exactly what a freshly opened store reads."""
+
+    @settings(
+        max_examples=120, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=_tail_ops)
+    def test_refreshed_handles_equal_a_fresh_store(self, ops):
+        with tempfile.TemporaryDirectory() as root, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            handles = [ResultStore(root), ResultStore(root)]
+            try:
+                for op in ops:
+                    self._apply(root, handles, op)
+                for handle in handles:
+                    handle.refresh()
+                fresh = ResultStore(root)
+                expected = _view(fresh, _TAIL_MANIFEST)
+                fresh.close()
+                for handle in handles:
+                    assert _view(handle, _TAIL_MANIFEST) == expected
+            finally:
+                for handle in handles:
+                    handle.close()
+
+    def test_peer_compaction_is_reread_whole(self, tmp_path):
+        """A peer's compaction replaces the file; appends that grow the
+        new file past this handle's old offset must not be tailed."""
+        a = ResultStore(str(tmp_path))
+        b = ResultStore(str(tmp_path))
+        b.record_hunt("s", 0, make_hunt(0))  # b caches an append fd
+        a.refresh()
+        a.append_lease("s", "claim", "h1-1", time=1.0, expires=9.0)
+        a.mark_shard_done("s")
+        b.refresh()
+        a.compact_shard("s")  # drops the lease history
+        a.record_hunt("s", 1, make_hunt(1))
+        a.record_hunt("s", 2, make_hunt(2))
+        assert os.path.getsize(a._shard_path("s")) > b._shards["s"].offset
+        b.refresh()
+        fresh = ResultStore(str(tmp_path))
+        assert set(b.completed_hunts("s")) == {0, 1, 2}
+        assert b.lease_state("s") is None and not b.lease_history("s")
+        assert b.summary() == fresh.summary()
+        # b's next append goes to the new file, not the unlinked one.
+        b.append_lease("s", "claim", "h2-2", time=5.0, expires=9.0)
+        fresh.refresh()
+        assert fresh.lease_state("s").owner == "h2-2"
+        for store in (a, b, fresh):
+            store.close()
+
+    def test_folded_unterminated_tail_is_never_folded_twice(self, tmp_path):
+        """A decodable line without its newline is folded, but the next
+        append glues onto it and the pair becomes one corrupt line: the
+        reader must drop what it folded, as a fresh open does."""
+        a = ResultStore(str(tmp_path))
+        b = ResultStore(str(tmp_path))
+        a.record_hunt("s", 0, make_hunt(0))
+        path = a._shard_path("s")
+        with open(path, "ab") as fh:
+            fh.write(_canonical_line("s")[:-1])
+        b.refresh()
+        assert b.lease_state("s").owner == "torn"
+        a.record_hunt("s", 1, make_hunt(1))
+        b.refresh()
+        assert b.lease_state("s") is None
+        assert set(b.completed_hunts("s")) == {0}
+        a.close()
+        b.close()
+
+    def test_heartbeat_thread_appends_during_reads(self, tmp_path):
+        """The lease heartbeat appends from its own thread while the
+        runner records, a peer appends and the runner refreshes; the
+        view still equals a fresh store afterwards."""
+        import threading
+
+        store = ResultStore(str(tmp_path))
+        peer = ResultStore(str(tmp_path))
+        stop = threading.Event()
+
+        def beat():
+            t = 0.0
+            while not stop.is_set():
+                t += 1.0
+                store.append_lease(
+                    _TAIL_SHARDS[0], "renew", "h1-1", time=t, expires=t + 5
+                )
+
+        store.append_lease(
+            _TAIL_SHARDS[0], "claim", "h1-1", time=0.0, expires=5.0
+        )
+        thread = threading.Thread(target=beat)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-append often
+        thread.start()
+        try:
+            for i in range(3):
+                for pos, shard_id in enumerate(_TAIL_SHARDS):
+                    store.record_hunt(shard_id, i, _tail_hunt(pos, i, "real"))
+                    peer.append_lease(
+                        shard_id, "claim", "h2-2", time=50.0, expires=60.0
+                    )
+                    store.refresh()
+                    store.refresh_shard(shard_id)
+        finally:
+            stop.set()
+            thread.join()
+            sys.setswitchinterval(interval)
+        store.refresh()
+        fresh = ResultStore(str(tmp_path))
+        assert _view(store, _TAIL_MANIFEST) == _view(fresh, _TAIL_MANIFEST)
+        for handle in (store, peer, fresh):
+            handle.close()
+
+    @staticmethod
+    def _apply(root, handles, op):
+        kind = op[0]
+        if kind == "hunt":
+            _, h, pos, index, variant = op
+            handles[h].record_hunt(
+                _TAIL_SHARDS[pos], index, _tail_hunt(pos, index, variant)
+            )
+        elif kind == "lease":
+            _, h, pos, lease_op, owner, t = op
+            handles[h].append_lease(
+                _TAIL_SHARDS[pos], lease_op, owner,
+                time=float(t), expires=float(t + 5),
+            )
+        elif kind == "done":
+            handles[op[1]].mark_shard_done(_TAIL_SHARDS[op[2]])
+        elif kind == "compact":
+            store = handles[op[1]]
+            if store.shard_done(_TAIL_SHARDS[op[2]]):
+                store.compact_shard(_TAIL_SHARDS[op[2]])
+        elif kind == "torn":
+            # A killed writer's partial line: no newline, cut anywhere
+            # up to a whole decodable document.
+            line = _canonical_line(_TAIL_SHARDS[op[1]])
+            path = os.path.join(root, "shards", f"{_TAIL_SHARDS[op[1]]}.jsonl")
+            with open(path, "ab") as fh:
+                fh.write(line[: min(op[2], len(line) - 1)])
+        elif kind == "truncate":
+            path = os.path.join(root, "shards", f"{_TAIL_SHARDS[op[1]]}.jsonl")
+            if os.path.exists(path):
+                size = os.path.getsize(path)
+                os.truncate(path, int(size * op[2]))
+                # The shrink is observed before anyone appends again: a
+                # file rewritten in place back past a reader's offset is
+                # outside the append-only contract (see ResultStore).
+                for handle in handles:
+                    handle.refresh_shard(_TAIL_SHARDS[op[1]])
+        else:
+            handles[op[1]].refresh()
+
+
+def _canonical_line(shard_id):
+    doc = {"kind": "lease", "op": "claim", "shard": shard_id,
+           "owner": "torn", "time": 0.0, "expires": 1.0, "v": 1}
+    return (json.dumps(doc, separators=(",", ":"), sort_keys=True)
+            + "\n").encode()
+
+
+class TestTailReadCost:
+    """Each hunt line is parsed once, not once per refresh."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        original = BugHunt.from_dict.__func__
+
+        def counting(cls, data):
+            calls.append(1)
+            return original(cls, data)
+
+        monkeypatch.setattr(BugHunt, "from_dict", classmethod(counting))
+        return calls
+
+    @staticmethod
+    def _hunt_lines(root):
+        count = 0
+        for name in os.listdir(os.path.join(root, "shards")):
+            with open(os.path.join(root, "shards", name)) as fh:
+                count += sum(1 for line in fh if '"kind":"hunt"' in line)
+        return count
+
+    def test_drain_parses_each_hunt_line_at_most_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.queue import JobRunner
+
+        calls = self._counting(monkeypatch)
+        m = manifest(seeds=(1, 2, 3), cpus=("CPU1", "CPU2"), tests_per_bug=1)
+        store = ResultStore(str(tmp_path))
+        observer = ResultStore(str(tmp_path))
+        JobRunner(m, store, workers=2).run()
+        drained = len(calls)
+        lines = self._hunt_lines(str(tmp_path))
+        assert lines == m.hunt_count()
+        # One runner, no peers: its own lines are folded as appended and
+        # no fallback re-read happens, so the drain parses nothing.
+        assert drained == 0
+        # A second handle picks every line up once, however often it
+        # refreshes.
+        for _ in range(3):
+            observer.refresh()
+        assert len(calls) - drained == lines
+        assert observer.hunt_digests() == store.hunt_digests()
+        store.close()
+        observer.close()
+
+    def test_own_append_behind_a_peer_line_forces_a_whole_reread(
+        self, tmp_path, monkeypatch
+    ):
+        a = ResultStore(str(tmp_path))
+        b = ResultStore(str(tmp_path))
+        a.record_hunt("s", 0, make_hunt(0))
+        b.record_hunt("s", 1, make_hunt(1))  # lands behind a's unread line
+        calls = self._counting(monkeypatch)
+        b.refresh()
+        assert len(calls) == 2  # whole re-read: both lines
+        assert set(b.completed_hunts("s")) == {0, 1}
+        a.refresh()
+        assert len(calls) == 3  # tail read: only b's line
+        assert set(a.completed_hunts("s")) == {0, 1}
+        a.close()
+        b.close()
